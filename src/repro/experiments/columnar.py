@@ -239,7 +239,9 @@ def _segment_median_finite(values: np.ndarray, offsets: np.ndarray) -> np.ndarra
     median = kept[low]
     even = low != high
     median[even] = 0.5 * (kept[high[even]] + median[even])
-    out[nonempty] = median
+    # np.median accumulates its mean from +0.0, so it never returns -0.0;
+    # adding +0.0 folds -0.0 to +0.0 and leaves every other value alone.
+    out[nonempty] = median + 0.0
     return out
 
 

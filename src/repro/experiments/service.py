@@ -5,9 +5,8 @@ ExperimentRunner` in a small simulation-as-a-service front end, the shape
 SRMCA-style serving systems use for long-running simulation campaigns:
 
 * :meth:`~SweepService.submit` registers a sweep as a *job* -- a
-  content-addressed directory holding a JSON manifest with the full
-  scenario descriptions, so the job is re-runnable from any process --
-  and returns a :class:`SweepJob` handle;
+  content-addressed directory holding the job's state in two files -- and
+  returns a :class:`SweepJob` handle;
 * :meth:`~SweepService.stream` drives the runner's
   :meth:`~repro.experiments.runner.ExperimentRunner.iter_run` and yields
   records as they complete, updating the manifest's progress counters
@@ -17,6 +16,26 @@ SRMCA-style serving systems use for long-running simulation campaigns:
   ``results.npz`` (the columnar form) and ``results.json`` (the legacy
   form) -- and later submissions of the same sweep are served from the
   artifact without simulating anything.
+
+Job layout (``MANIFEST_VERSION`` 2), under ``<root>/jobs/<job_id>/``:
+
+* ``scenarios.json`` -- the immutable spec: the full scenario
+  descriptions, written once at submit, so the job is re-runnable from
+  any process;
+* ``manifest.json`` -- the small mutable record (state, label, progress
+  counters, error).  Its size does not depend on the job size, so the
+  per-record rewrite costs O(1) however large the sweep.
+
+Both files are replaced atomically (a temp file in the same directory,
+then :func:`os.replace`), so a concurrent reader sees either the previous
+or the next version, never a half-written one.  A manifest that still
+fails to parse (a crash or disk fault outside the service) is reported as
+a :class:`~repro.experiments.runner.CacheMissWarning` with reason
+``"manifest-corrupt"``: :meth:`~SweepService.submit` rebuilds it from the
+submitted scenarios and :meth:`~SweepService.list_jobs` skips the job.
+Job directories of an older manifest version (v1 kept the scenarios
+inside ``manifest.json``) are rejected by the version gate with a
+:class:`ValueError`; clear them and resubmit.
 
 Everything is content-addressed by the existing scenario hash: the job id
 is the hash of the ordered scenario-hash list (plus the package version,
@@ -34,6 +53,7 @@ same root -- the manifest and artifacts are plain files.
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -44,7 +64,7 @@ from repro.experiments.runner import ExperimentRunner, warn_cache_miss
 from repro.experiments.scenario import Scenario, content_hash
 
 #: Manifest schema version (bump on layout changes).
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -111,6 +131,9 @@ class SweepService:
     def _manifest_path(self, job_id: str) -> pathlib.Path:
         return self._job_dir(job_id) / "manifest.json"
 
+    def _spec_path(self, job_id: str) -> pathlib.Path:
+        return self._job_dir(job_id) / "scenarios.json"
+
     def artifact_path(self, job_id: str, kind: str = "npz") -> pathlib.Path:
         """Path of a job's result artifact (``"npz"`` or ``"json"``)."""
         if kind not in ("npz", "json"):
@@ -128,11 +151,23 @@ class SweepService:
         })
 
     def _read_manifest(self, job_id: str) -> dict:
+        """The job's manifest; ``KeyError`` when it is missing or corrupt.
+
+        A corrupt manifest also emits a ``"manifest-corrupt"``
+        :class:`CacheMissWarning`; resubmitting the sweep rebuilds it.
+        """
         path = self._manifest_path(job_id)
         try:
             data = json.loads(path.read_text(encoding="utf-8"))
+            if not isinstance(data, dict):
+                raise ValueError(f"expected a JSON object, got {type(data).__name__}")
         except FileNotFoundError:
             raise KeyError(f"unknown job {job_id!r}") from None
+        except ValueError as error:  # JSON/UTF-8 decode error or non-object
+            warn_cache_miss(path, "manifest-corrupt", str(error))
+            raise KeyError(
+                f"job {job_id}: corrupt manifest; resubmit its sweep to rebuild it"
+            ) from None
         if data.get("manifest_version") != MANIFEST_VERSION:
             raise ValueError(
                 f"job {job_id}: unsupported manifest version "
@@ -140,10 +175,24 @@ class SweepService:
             )
         return data
 
-    def _write_manifest(self, job_id: str, data: dict) -> None:
-        path = self._manifest_path(job_id)
+    @staticmethod
+    def _write_json(path: pathlib.Path, data) -> None:
+        """Atomically replace ``path`` with compact JSON of ``data``.
+
+        The temp file is per process, so concurrent writers from several
+        service processes never share one.
+        """
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(data, indent=2), encoding="utf-8")
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        try:
+            tmp.write_text(json.dumps(data, separators=(",", ":")), encoding="utf-8")
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+
+    def _write_manifest(self, job_id: str, data: dict) -> None:
+        self._write_json(self._manifest_path(job_id), data)
 
     @staticmethod
     def _handle(data: dict) -> SweepJob:
@@ -176,7 +225,9 @@ class SweepService:
         resubmitting the same sweep returns the existing job -- already
         ``done`` when its artifacts are on disk (a completed job with a
         corrupt artifact is reset to ``submitted`` with a warning, and
-        streaming it re-runs the sweep).
+        streaming it re-runs the sweep).  A corrupt manifest is rebuilt
+        from ``scenarios``: ``done`` if the artifact loads, else
+        ``submitted``.
         """
         ordered = list(scenarios)
         job_id = self.job_id_for(ordered)
@@ -184,30 +235,30 @@ class SweepService:
             data = self._read_manifest(job_id)
         except KeyError:
             data = None
-        if data is not None and data["state"] == "done":
-            if self._load_artifact(job_id) is not None:
+        if data is not None:
+            if data["state"] == "done" and self._load_artifact(job_id) is not None:
                 return self._handle(data)
-            data["state"] = "submitted"  # artifact rotted: force a re-run
-            data["completed"] = 0
-            self._write_manifest(job_id, data)
-            return self._handle(data)
-        if data is not None and data["state"] == "submitted":
+            if data["state"] != "submitted":
+                # Artifact rotted or the last run failed: force a re-run.
+                data.update(state="submitted", completed=0, error="")
+                self._write_manifest(job_id, data)
             return self._handle(data)
         from repro import __version__
 
+        done = self._load_artifact(job_id) is not None
         data = {
             "manifest_version": MANIFEST_VERSION,
             "job_id": job_id,
-            "state": "submitted",
+            "state": "done" if done else "submitted",
             "label": label,
             "version": __version__,
             "total": len(ordered),
-            "completed": 0,
+            "completed": len(ordered) if done else 0,
             "cache_hits": 0,
             "error": "",
-            "scenario_hashes": [s.scenario_hash() for s in ordered],
-            "scenarios": [s.to_dict() for s in ordered],
         }
+        # Spec first: a manifest never exists without its spec.
+        self._write_json(self._spec_path(job_id), [s.to_dict() for s in ordered])
         self._write_manifest(job_id, data)
         return self._handle(data)
 
@@ -216,10 +267,17 @@ class SweepService:
         return self._handle(self._read_manifest(job_id))
 
     def list_jobs(self) -> list[SweepJob]:
-        """Handles of every job under the service root, by job id."""
+        """Handles of every job under the service root, by job id.
+
+        Jobs with a corrupt manifest are skipped (with a warning).
+        """
         jobs = []
         for manifest in sorted(self.jobs_dir.glob("*/manifest.json")):
-            jobs.append(self._handle(self._read_manifest(manifest.parent.name)))
+            try:
+                data = self._read_manifest(manifest.parent.name)
+            except KeyError:  # corrupt (already warned) or removed meanwhile
+                continue
+            jobs.append(self._handle(data))
         return jobs
 
     def stream(
@@ -243,10 +301,8 @@ class SweepService:
             if artifact is not None:
                 yield from artifact
                 return
-            data["state"] = "submitted"
-            data["completed"] = 0
-            self._write_manifest(job_id, data)
-        scenarios = [Scenario.from_dict(entry) for entry in data["scenarios"]]
+        spec = json.loads(self._spec_path(job_id).read_text(encoding="utf-8"))
+        scenarios = [Scenario.from_dict(entry) for entry in spec]
         runner = ExperimentRunner(
             max_workers=self.max_workers, cache_dir=self.cache_dir
         )

@@ -172,6 +172,26 @@ def test_metrics_and_aggregations_match_object_path(records):
         assert math.isnan(columnar.delivery_ratio())
 
 
+@pytest.mark.parametrize("series", [(-0.0,), (-0.0, -0.0), (-1.0, -0.0, 1.0)])
+def test_median_of_negative_zero_matches_object_path(series):
+    # np.median never returns -0.0, so neither may the vectorized median:
+    # the sign shows up in to_table() as "-0" vs "0".
+    packets = len(series)
+    record = RunRecord(
+        scenario=Scenario(site="bridge", distance_m=4.0, num_packets=packets),
+        num_packets=packets, delivered=0, packet_error_rate=0.0,
+        payload_bit_error_rate=0.0, coded_bit_error_rate=0.0,
+        preamble_detection_rate=0.0, feedback_error_rate=0.0,
+        bitrates_bps=series, band_starts_hz=(0.0,) * packets,
+        band_ends_hz=(0.0,) * packets, min_band_snrs_db=(0.0,) * packets,
+        delivered_flags=(False,) * packets, elapsed_s=0.0,
+    )
+    got = ColumnarResultSet([record]).metric("median_bitrate_bps")
+    assert np.signbit(got) == np.signbit(record.median_bitrate_bps)
+    assert (ColumnarResultSet([record]).to_table()
+            == ResultSet([record]).to_table())
+
+
 @st.composite
 def _records_with_criteria(draw):
     records = draw(_record_lists)

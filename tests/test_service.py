@@ -1,5 +1,7 @@
 """Tests for the streaming sweep service (repro.experiments.service)."""
 
+import json
+import os
 import warnings
 
 import pytest
@@ -179,3 +181,122 @@ def test_manifest_version_gate(tmp_path):
     path.write_text(json.dumps(data))
     with pytest.raises(ValueError, match="manifest version"):
         service.poll(job.job_id)
+
+
+# ------------------------------------------------- job layout & recovery
+@pytest.fixture
+def instant_runs(monkeypatch):
+    """Replace the simulator with an empty-statistics stub (fast jobs)."""
+    from repro.link.session import LinkStatistics
+
+    monkeypatch.setattr(runner_module, "run_scenario", lambda scenario: LinkStatistics())
+
+
+def _tear(path, size=40):
+    path.write_bytes(path.read_bytes()[:size])
+
+
+def test_manifest_size_is_independent_of_job_size(tmp_path, instant_runs):
+    service = SweepService(tmp_path, max_workers=1)
+    sizes = {}
+    for n in (1, 8):
+        job = service.submit(_scenarios(n))
+        submitted = service._manifest_path(job.job_id).stat().st_size
+        list(service.stream(job.job_id))
+        done = service._manifest_path(job.job_id).stat().st_size
+        sizes[n] = (submitted, done)
+        assert (service.jobs_dir / job.job_id / "scenarios.json").exists()
+    # Only the counter digits may differ (1 vs 8 here: same width).
+    slack = len(str(8)) - len(str(1))
+    assert abs(sizes[8][0] - sizes[1][0]) <= slack
+    assert abs(sizes[8][1] - sizes[1][1]) <= slack
+
+
+def test_spec_is_written_once_per_job(tmp_path, instant_runs, monkeypatch):
+    service = SweepService(tmp_path, max_workers=1)
+    replace = os.replace
+    spec_writes = []
+
+    def counting_replace(src, dst):
+        if os.path.basename(dst) == "scenarios.json":
+            spec_writes.append(dst)
+        return replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", counting_replace)
+    scenarios = _scenarios(8)
+    job, _ = _complete(service, scenarios)
+    again, _ = _complete(service, scenarios)
+    assert again.job_id == job.job_id and service.poll(job.job_id).done
+    assert len(spec_writes) == 1
+
+
+def test_failed_manifest_write_keeps_the_previous_manifest(tmp_path, instant_runs,
+                                                          monkeypatch):
+    service = SweepService(tmp_path, max_workers=1)
+    job = service.submit(_scenarios(2))
+    path = service._manifest_path(job.job_id)
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        list(service.stream(job.job_id))
+    monkeypatch.undo()
+    assert json.loads(path.read_text())["state"] == "submitted"
+    assert service.poll(job.job_id) == job
+    # The temp file of the failed write is cleaned up.
+    assert sorted(p.name for p in path.parent.iterdir()) == [
+        "manifest.json", "scenarios.json",
+    ]
+
+
+def test_torn_manifest_fails_poll_with_a_reason_code(tmp_path, instant_runs):
+    service = SweepService(tmp_path, max_workers=1)
+    job = service.submit(_scenarios(2))
+    _tear(service._manifest_path(job.job_id))
+    with pytest.warns(CacheMissWarning) as caught:
+        with pytest.raises(KeyError, match="corrupt manifest"):
+            service.poll(job.job_id)
+    assert caught[0].message.reason == "manifest-corrupt"
+
+
+def test_submit_rebuilds_a_torn_manifest_of_a_finished_job(tmp_path, monkeypatch):
+    scenarios = _scenarios(2)
+    service = SweepService(tmp_path, max_workers=1)
+    job, records = _complete(service, scenarios, label="keep")
+    _tear(service._manifest_path(job.job_id))
+
+    def _boom(scenario):
+        raise AssertionError("a recovered done job must not re-simulate")
+
+    monkeypatch.setattr(runner_module, "run_scenario", _boom)
+    with pytest.warns(CacheMissWarning) as caught:
+        recovered = service.submit(scenarios, label="keep")
+    assert [w.message.reason for w in caught] == ["manifest-corrupt"]
+    assert recovered.done and recovered.completed == recovered.total == 2
+    assert recovered.label == "keep"
+    assert service.poll(job.job_id) == recovered
+    assert list(service.stream(job.job_id)) == records
+
+
+def test_submit_rebuilds_a_torn_manifest_of_an_unfinished_job(tmp_path, instant_runs):
+    scenarios = _scenarios(2)
+    service = SweepService(tmp_path, max_workers=1)
+    job = service.submit(scenarios)
+    _tear(service._manifest_path(job.job_id))
+    with pytest.warns(CacheMissWarning, match="manifest-corrupt"):
+        recovered = service.submit(scenarios)
+    assert recovered.state == "submitted" and recovered.completed == 0
+    assert len(list(service.stream(job.job_id))) == 2
+    assert service.poll(job.job_id).done
+
+
+def test_list_jobs_skips_a_torn_manifest(tmp_path, instant_runs):
+    service = SweepService(tmp_path, max_workers=1)
+    torn, _ = _complete(service, _scenarios(1))
+    intact = service.submit(_scenarios(2))
+    _tear(service._manifest_path(torn.job_id))
+    with pytest.warns(CacheMissWarning, match="manifest-corrupt"):
+        jobs = service.list_jobs()
+    assert [j.job_id for j in jobs] == [intact.job_id]
