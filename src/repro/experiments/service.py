@@ -5,17 +5,17 @@ ExperimentRunner` in a small simulation-as-a-service front end, the shape
 SRMCA-style serving systems use for long-running simulation campaigns:
 
 * :meth:`~SweepService.submit` registers a sweep as a *job* -- a
-  content-addressed directory holding the job's state in two files -- and
+  content-addressed directory holding the job's state -- and
   returns a :class:`SweepJob` handle;
 * :meth:`~SweepService.stream` drives the runner's
   :meth:`~repro.experiments.runner.ExperimentRunner.iter_run` and yields
   records as they complete, updating the manifest's progress counters
   after every record so a concurrent :meth:`~SweepService.poll` sees the
   job advance;
-* on completion the service writes two artifacts beside the manifest --
-  ``results.npz`` (the columnar form) and ``results.json`` (the legacy
-  form) -- and later submissions of the same sweep are served from the
-  artifact without simulating anything.
+* on completion the service writes one artifact beside the manifest,
+  ``results.npz`` (the columnar form), and later submissions of the same
+  sweep are served from it without simulating anything;
+  :meth:`~SweepService.fetch` exports it as ``.npz`` or JSON.
 
 Job layout (``MANIFEST_VERSION`` 2), under ``<root>/jobs/<job_id>/``:
 
@@ -24,13 +24,14 @@ Job layout (``MANIFEST_VERSION`` 2), under ``<root>/jobs/<job_id>/``:
   any process;
 * ``manifest.json`` -- the small mutable record (state, label, progress
   counters, error).  Its size does not depend on the job size, so the
-  per-record rewrite costs O(1) however large the sweep.
+  per-record rewrite costs O(1) however large the sweep;
+* ``results.npz`` -- the artifact, once the job is done.
 
-Both files are replaced atomically (a temp file in the same directory,
-then :func:`os.replace`), so a concurrent reader sees either the previous
-or the next version, never a half-written one.  A manifest that still
-fails to parse (a crash or disk fault outside the service) is reported as
-a :class:`~repro.experiments.runner.CacheMissWarning` with reason
+The two JSON files are replaced atomically (a temp file in the same
+directory, then :func:`os.replace`), so a concurrent reader sees either
+the previous or the next version, never a half-written one.  A manifest
+that still fails to parse (a crash or disk fault outside the service) is
+reported as a :class:`~repro.experiments.runner.CacheMissWarning` with reason
 ``"manifest-corrupt"``: :meth:`~SweepService.submit` rebuilds it from the
 submitted scenarios and :meth:`~SweepService.list_jobs` skips the job.
 Job directories of an older manifest version (v1 kept the scenarios
@@ -59,7 +60,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from repro.experiments.columnar import ColumnarResultSet
-from repro.experiments.records import ResultSet, RunRecord
+from repro.experiments.records import RunRecord
 from repro.experiments.runner import ExperimentRunner, warn_cache_miss
 from repro.experiments.scenario import Scenario, content_hash
 
@@ -76,7 +77,7 @@ class SweepJob:
     job_id:
         Content hash of the ordered scenario hashes + package version.
     state:
-        ``"submitted"`` (work remains), ``"done"`` (artifacts on disk) or
+        ``"submitted"`` (work remains), ``"done"`` (artifact on disk) or
         ``"failed"`` (a scenario raised; see :attr:`error`).
     total, completed, cache_hits:
         Progress counters; ``cache_hits`` counts per-scenario JSON cache
@@ -97,7 +98,7 @@ class SweepJob:
 
     @property
     def done(self) -> bool:
-        """Whether the job's artifacts are complete and on disk."""
+        """Whether the job's artifact is complete and on disk."""
         return self.state == "done"
 
 
@@ -134,11 +135,9 @@ class SweepService:
     def _spec_path(self, job_id: str) -> pathlib.Path:
         return self._job_dir(job_id) / "scenarios.json"
 
-    def artifact_path(self, job_id: str, kind: str = "npz") -> pathlib.Path:
-        """Path of a job's result artifact (``"npz"`` or ``"json"``)."""
-        if kind not in ("npz", "json"):
-            raise ValueError(f"artifact kind must be 'npz' or 'json', got {kind!r}")
-        return self._job_dir(job_id) / f"results.{kind}"
+    def artifact_path(self, job_id: str) -> pathlib.Path:
+        """Path of a job's columnar result artifact."""
+        return self._job_dir(job_id) / "results.npz"
 
     @staticmethod
     def job_id_for(scenarios: list[Scenario]) -> str:
@@ -208,7 +207,7 @@ class SweepService:
 
     def _load_artifact(self, job_id: str) -> ColumnarResultSet | None:
         """The job's columnar artifact, or ``None`` when absent/corrupt."""
-        path = self.artifact_path(job_id, "npz")
+        path = self.artifact_path(job_id)
         if not path.exists():
             return None
         try:
@@ -223,7 +222,7 @@ class SweepService:
 
         Submission is idempotent: the job id is content-addressed, so
         resubmitting the same sweep returns the existing job -- already
-        ``done`` when its artifacts are on disk (a completed job with a
+        ``done`` when its artifact is on disk (a completed job with a
         corrupt artifact is reset to ``submitted`` with a warning, and
         streaming it re-runs the sweep).  A corrupt manifest is rebuilt
         from ``scenarios``: ``done`` if the artifact loads, else
@@ -291,9 +290,9 @@ class SweepService:
         simulation).  Otherwise the runner's ``iter_run`` drives the
         sweep -- per-scenario cache hits included -- the manifest's
         ``completed`` counter advances after every yielded record, and
-        the ``results.npz`` / ``results.json`` artifacts are written when
-        the last record lands.  On an execution error the job is marked
-        ``failed`` (with the error recorded) and the exception re-raised.
+        the ``results.npz`` artifact is written when the last record
+        lands.  On an execution error the job is marked ``failed`` (with
+        the error recorded) and the exception re-raised.
         """
         data = self._read_manifest(job_id)
         if data["state"] == "done":
@@ -324,8 +323,7 @@ class SweepService:
             data["error"] = f"{type(error).__name__}: {error}"
             self._write_manifest(job_id, data)
             raise
-        results.save_npz(self.artifact_path(job_id, "npz"))
-        results.save(self.artifact_path(job_id, "json"), include_timing=True)
+        results.save_npz(self.artifact_path(job_id))
         data["state"] = "done"
         self._write_manifest(job_id, data)
 
@@ -345,8 +343,9 @@ class SweepService:
         """Export a finished job's artifact to ``out``.
 
         The format follows the suffix: ``.npz`` copies the columnar
-        artifact, anything else gets the legacy JSON form.  The job must
-        be ``done``.
+        artifact, anything else gets JSON (readable by
+        :meth:`ResultSet.load <repro.experiments.records.ResultSet.load>`).
+        The job must be ``done``.
         """
         job = self.poll(job_id)
         if not job.done:

@@ -13,9 +13,8 @@ the existing channel/link machinery:
 * :mod:`~repro.net.routing` -- pluggable :class:`RoutingProtocol`
   implementations (flooding, static shortest path, distance/depth greedy
   forwarding);
-* :mod:`~repro.net.transport` -- sliding-window ARQ (Go-Back-N and
-  selective repeat) generalizing the single-packet retry logic of
-  :mod:`repro.link.network`;
+* :mod:`~repro.net.transport` -- end-to-end sliding-window ARQ
+  (Go-Back-N and selective repeat);
 * :mod:`~repro.net.links` -- interchangeable link models:
   :class:`PhysicalLink` runs the full PHY per packet, while
   :class:`CalibratedLink` replays a PER/bitrate-vs-distance table

@@ -1,8 +1,6 @@
 """Reliable transport: sliding-window ARQ over lossy multi-hop paths.
 
-This generalizes the single-packet stop-and-wait retry of
-:mod:`repro.link.network` into proper windowed ARQ, in two flavours
-selected by :attr:`ArqConfig.mode`:
+Two flavours, selected by :attr:`ArqConfig.mode`:
 
 ``"go-back-n"``
     Cumulative ACKs ("next expected sequence"), a single retransmission

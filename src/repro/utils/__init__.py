@@ -1,5 +1,6 @@
-"""Small shared utilities: unit conversions, RNG handling, validation."""
+"""Small shared utilities: unit conversions, RNG, validation, progress."""
 
+from repro.utils.progress import progress_emitter
 from repro.utils.rng import ensure_rng
 from repro.utils.units import (
     amplitude_ratio_to_db,
@@ -15,6 +16,7 @@ from repro.utils.validation import (
 
 __all__ = [
     "ensure_rng",
+    "progress_emitter",
     "db_to_power_ratio",
     "power_ratio_to_db",
     "db_to_amplitude_ratio",

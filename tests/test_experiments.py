@@ -1,6 +1,7 @@
 """Tests for the declarative experiment API (repro.experiments)."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -257,11 +258,16 @@ def test_runner_cache_ignores_stale_schema(tmp_path):
     assert second == first
 
 
+def _sweep_counts(lines):
+    """(done, total) pairs parsed from ``sweep k/N: ...`` progress lines."""
+    return [tuple(map(int, re.match(r"sweep (\d+)/(\d+): ", line).groups()))
+            for line in lines]
+
+
 def test_runner_progress_callback_counts():
-    seen = []
-    runner = ExperimentRunner(
-        max_workers=1, progress=lambda done, total, record: seen.append((done, total)))
-    results = runner.run(_tiny_sweep(4))
+    lines = []
+    results = ExperimentRunner(max_workers=1).run(_tiny_sweep(4), progress=lines.append)
+    seen = _sweep_counts(lines)
     assert len(seen) == len(results) == 4
     assert seen[-1] == (4, 4)
     assert [done for done, _ in seen] == [1, 2, 3, 4]
@@ -287,12 +293,11 @@ def test_runner_progress_counts_cache_hits(tmp_path):
     cache = tmp_path / "cache"
     sweep = _tiny_sweep(4)
     ExperimentRunner(max_workers=1, cache_dir=cache).run(sweep)
-    seen = []
-    runner = ExperimentRunner(
-        max_workers=1, cache_dir=cache,
-        progress=lambda done, total, record: seen.append((done, total)))
-    runner.run(sweep)
-    assert seen == [(1, 4), (2, 4), (3, 4), (4, 4)]
+    lines = []
+    runner = ExperimentRunner(max_workers=1, cache_dir=cache)
+    runner.run(sweep, progress=lines.append)
+    assert runner.last_cache_hits == 4
+    assert _sweep_counts(lines) == [(1, 4), (2, 4), (3, 4), (4, 4)]
 
 
 def test_runner_rejects_negative_workers():

@@ -104,6 +104,21 @@ def test_transmissions_are_time_ordered_per_transmitter():
         assert len(times) == 20
 
 
+@pytest.mark.parametrize("count", [2, 3])
+@pytest.mark.parametrize("carrier_sense", [True, False])
+def test_same_seed_replays_the_same_timeline(count, carrier_sense):
+    """Per-call seeding: a seed fixes the whole timeline, across instances."""
+    def build():
+        return MacNetworkSimulator(_transmitters(count, packets=20),
+                                   carrier_sense=carrier_sense)
+
+    simulator = build()
+    first = simulator.run(seed=11).transmissions
+    assert simulator.run(seed=11).transmissions == first
+    assert build().run(seed=11).transmissions == first
+    assert simulator.run(seed=12).transmissions != first
+
+
 def test_collision_definition_symmetry():
     """If packet A collides with B then B collides with A."""
     result = MacNetworkSimulator(_transmitters(3, packets=20), carrier_sense=False).run(seed=7)

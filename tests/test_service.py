@@ -69,8 +69,11 @@ def test_stream_matches_blocking_runner(tmp_path):
     assert [r.scenario for r in records] == scenarios
     final = service.poll(job.job_id)
     assert final.done and final.completed == final.total == 3
-    assert service.artifact_path(job.job_id, "npz").exists()
-    assert service.artifact_path(job.job_id, "json").exists()
+    # The columnar artifact is the job's only result file.
+    job_dir = service.artifact_path(job.job_id).parent
+    assert not (job_dir / "results.json").exists()
+    assert sorted(p.name for p in job_dir.iterdir()) == [
+        "manifest.json", "results.npz", "scenarios.json"]
     assert service.result(job.job_id) == reference
 
 
@@ -133,7 +136,7 @@ def test_corrupt_artifact_is_treated_as_a_miss(tmp_path):
     scenarios = _scenarios(2)
     service = SweepService(tmp_path, max_workers=1)
     job, records = _complete(service, scenarios)
-    service.artifact_path(job.job_id, "npz").write_bytes(b"rotten bytes")
+    service.artifact_path(job.job_id).write_bytes(b"rotten bytes")
     with pytest.warns(CacheMissWarning) as caught:
         resubmitted = service.submit(scenarios)
     assert caught[0].message.reason == "npz-corrupt"
