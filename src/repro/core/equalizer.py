@@ -13,16 +13,12 @@ Wiener solution solves the Toeplitz normal equations
 
     R_yy g = r_xy
 
-Two solvers are available:
-
-* ``solver="levinson"`` (default): the Levinson-Durbin recursion from
-  :mod:`repro.dsp.levinson`, O(n^2) in the tap count, with the auto- and
-  cross-correlations computed by FFT instead of direct ``np.correlate``
-  (O(n log n) instead of O(n^2) in the training length).
-* ``solver="dense"``: builds the full Toeplitz matrix and calls
-  ``numpy.linalg.solve`` -- the O(n^3) reference implementation the fast
-  path is pinned against in tests/test_fastpath_golden.py (agreement is
-  ~1e-8 relative; the correlation values themselves agree to ~1e-12).
+with the Levinson-Durbin recursion from :mod:`repro.dsp.levinson`, O(n^2)
+in the tap count, with the auto- and cross-correlations computed by FFT
+instead of direct ``np.correlate`` (O(n log n) instead of O(n^2) in the
+training length).  The test suite pins it against a dense O(n^3)
+``numpy.linalg.solve`` of the same system (agreement is ~1e-8 relative;
+the correlation values themselves agree to ~1e-12).
 
 :meth:`MMSEEqualizer.fit_apply_many` batches the training correlations of
 several bursts into shared FFT calls, which is what the batched packet
@@ -43,11 +39,6 @@ from repro.dsp.fastconv import (
 )
 from repro.dsp.levinson import solve_symmetric_toeplitz
 from repro.utils.validation import require_positive
-
-#: Toeplitz solvers :class:`MMSEEqualizer` accepts (public so callers that
-#: thread a solver choice through -- DataDecoder, ModemSpec -- can validate
-#: eagerly instead of failing deep inside the first decode).
-EQUALIZER_SOLVERS = ("levinson", "dense")
 
 #: Cache of time-reversal phase ramps keyed by (signal length, FFT length):
 #: ``rfft(y[::-1], nf) == conj(rfft(y, nf)) * exp(-2j pi k (n-1) / nf)``,
@@ -77,19 +68,15 @@ class MMSEEqualizer:
         num_taps: int = 480,
         regularization: float = 1e-3,
         delay: int = 0,
-        solver: str = "levinson",
     ) -> None:
         require_positive(num_taps, "num_taps")
         if regularization < 0:
             raise ValueError("regularization must be non-negative")
         if delay < 0:
             raise ValueError("delay must be non-negative")
-        if solver not in EQUALIZER_SOLVERS:
-            raise ValueError(f"solver must be one of {EQUALIZER_SOLVERS}, got {solver!r}")
         self.num_taps = int(num_taps)
         self.regularization = float(regularization)
         self.delay = int(delay)
-        self.solver = solver
         self.coefficients: np.ndarray | None = None
 
     @property
@@ -106,7 +93,7 @@ class MMSEEqualizer:
                 f"training too short ({y.size} samples) for a {self.num_taps}-tap equalizer"
             )
 
-    def _delayed_reference(self, x: np.ndarray, n: int) -> np.ndarray:
+    def _delayed_target(self, x: np.ndarray, n: int) -> np.ndarray:
         if self.delay:
             return np.concatenate([np.zeros(self.delay), x])[:n]
         return x
@@ -139,13 +126,7 @@ class MMSEEqualizer:
         return r_yy, r_xy
 
     def _solve(self, r_yy: np.ndarray, r_xy: np.ndarray) -> np.ndarray:
-        if self.solver == "dense":
-            indices = np.arange(r_yy.size)
-            matrix = r_yy[np.abs(indices[:, None] - indices[None, :])]
-            coefficients = np.linalg.solve(matrix, r_xy)
-        else:
-            coefficients = solve_symmetric_toeplitz(r_yy, r_xy)
-        return np.asarray(coefficients, dtype=float)
+        return solve_symmetric_toeplitz(r_yy, r_xy)
 
     # ------------------------------------------------------------------ single
     def fit(self, received_training: np.ndarray, reference_training: np.ndarray) -> np.ndarray:
@@ -169,7 +150,7 @@ class MMSEEqualizer:
         y = np.asarray(received_training, dtype=float).ravel()
         x = np.asarray(reference_training, dtype=float).ravel()
         self._validate_training(y, x)
-        x_target = self._delayed_reference(x, y.size)
+        x_target = self._delayed_target(x, y.size)
         r_yy, r_xy = self._normal_equations(y, x_target)
         self.coefficients = self._solve(r_yy, r_xy)
         return self.coefficients
@@ -238,7 +219,7 @@ class MMSEEqualizer:
         zero_lag = n - 1
         n_fft = next_fast_len(2 * n - 1)
         stacked = np.vstack(trainings)
-        x_target = self._delayed_reference(x, n)
+        x_target = self._delayed_target(x, n)
         reversed_spectra = rfft(stacked[:, ::-1], n_fft, axis=1)
         autos = irfft(rfft(stacked, n_fft, axis=1) * reversed_spectra, n_fft, axis=1)
         crosses = irfft(rfft(x_target, n_fft)[None, :] * reversed_spectra, n_fft, axis=1)

@@ -8,11 +8,7 @@ fractional resampling used to model Doppler.
 """
 
 from repro.dsp.chirp import lfm_chirp
-from repro.dsp.correlation import (
-    normalized_cross_correlation,
-    normalized_sliding_correlation,
-    sliding_correlation_peak,
-)
+from repro.dsp.correlation import sliding_correlation_peak
 from repro.dsp.filters import FIRBandpassFilter, design_bandpass_fir
 from repro.dsp.resample import apply_doppler, fractional_delay
 from repro.dsp.sequences import pn_sign_sequence, zadoff_chu
@@ -24,8 +20,6 @@ __all__ = [
     "lfm_chirp",
     "design_bandpass_fir",
     "FIRBandpassFilter",
-    "normalized_cross_correlation",
-    "normalized_sliding_correlation",
     "sliding_correlation_peak",
     "power_spectral_density",
     "band_power",

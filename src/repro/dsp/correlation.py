@@ -10,51 +10,27 @@ Two detectors are combined in the paper (section 2.2.1):
   the window energy.  The normalized metric is close to 1 for a true
   preamble regardless of SNR, and small (< 0.2) for impulsive noise.
 
-Both stages have a fast path and a retained reference implementation:
+Both stages are vectorized:
 
 * :class:`TemplateCorrelator` runs the coarse stage as overlap-save FFT
-  cross-correlation against a cached conjugate spectrum of the template,
-  equivalent to :func:`normalized_cross_correlation` within ~1e-10.
+  cross-correlation against a cached conjugate spectrum of the template.
 * :func:`sliding_correlation_curve` evaluates the fine metric for *all*
   candidate offsets at once from two cumulative sums (the windowed
-  segment products telescope into prefix-sum differences), replacing the
-  per-offset Python loop now kept as
-  :func:`sliding_correlation_curve_reference`.  Agreement is ~1e-9
-  relative (cumulative sums reassociate the additions); both are pinned
-  by tests/test_fastpath_golden.py.
+  segment products telescope into prefix-sum differences) instead of a
+  per-offset loop over windows.
+
+The golden tests pin both against direct per-window implementations
+(~1e-10 for the correlator; ~1e-9 relative for the sliding metric, since
+cumulative sums reassociate the additions).
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import signal as sp_signal
 
 from repro.dsp.fastconv import irfft_n, next_fast_len, rfft_n
 
 _EPS = 1e-12
-
-
-def normalized_cross_correlation(received: np.ndarray, template: np.ndarray) -> np.ndarray:
-    """Return the template-normalized cross-correlation of ``received``.
-
-    The output has one value per alignment of the template inside the
-    received buffer (``len(received) - len(template) + 1`` values).  Each
-    value is normalized by the energy of the template and of the
-    corresponding received window, so it lies in ``[-1, 1]``.
-    """
-    received = np.asarray(received, dtype=float)
-    template = np.asarray(template, dtype=float)
-    if template.size == 0 or received.size < template.size:
-        raise ValueError("received signal must be at least as long as the template")
-    # FFT-based correlation: much faster than np.correlate for the long
-    # preamble templates used here.
-    raw = sp_signal.fftconvolve(received, template[::-1], mode="valid")
-    template_energy = float(np.sqrt(np.sum(template ** 2)))
-    # Rolling energy of the received windows, via cumulative sums.
-    squared = received ** 2
-    cumulative = np.concatenate([[0.0], np.cumsum(squared)])
-    window_energy = np.sqrt(cumulative[template.size:] - cumulative[: received.size - template.size + 1])
-    return raw / (template_energy * np.maximum(window_energy, _EPS))
 
 
 class TemplateCorrelator:
@@ -64,8 +40,7 @@ class TemplateCorrelator:
     waveform) and the template energy are computed once; every
     :meth:`correlate` call then runs overlap-save block convolution, so the
     per-call cost is independent of how many times the same preamble is
-    searched for.  Output matches :func:`normalized_cross_correlation`
-    within ~1e-10 (same arithmetic, different FFT block sizes).
+    searched for.
     """
 
     def __init__(self, template: np.ndarray, block_size: int | None = None) -> None:
@@ -140,7 +115,11 @@ class TemplateCorrelator:
         return out
 
     def correlate(self, received: np.ndarray) -> np.ndarray:
-        """Normalized cross-correlation (same output as the reference)."""
+        """Template-normalized cross-correlation, one value per alignment.
+
+        Each value is normalized by the energy of the template and of the
+        corresponding received window, so it lies in ``[-1, 1]``.
+        """
         received = np.asarray(received, dtype=float).ravel()
         raw = self.raw_correlation(received)
         squared = received ** 2
@@ -152,36 +131,6 @@ class TemplateCorrelator:
         return raw / (self._energy * np.maximum(window_energy, _EPS))
 
 
-def normalized_sliding_correlation(
-    window: np.ndarray,
-    segment_length: int,
-    pn_signs: np.ndarray,
-) -> float:
-    """Return the normalized sliding-correlation metric for one window.
-
-    The window is divided into ``len(pn_signs)`` segments of
-    ``segment_length`` samples.  Each segment is multiplied by its PN sign
-    and neighbouring segments are correlated; the summed correlations are
-    normalized by the window energy.  A true preamble (identical repeated
-    symbols with those signs) yields a value near 1.
-    """
-    window = np.asarray(window, dtype=float)
-    pn_signs = np.asarray(pn_signs, dtype=float)
-    num_segments = pn_signs.size
-    needed = segment_length * num_segments
-    if window.size < needed:
-        raise ValueError(
-            f"window of {window.size} samples too short for {num_segments} "
-            f"segments of {segment_length} samples"
-        )
-    segments = window[:needed].reshape(num_segments, segment_length) * pn_signs[:, None]
-    correlation = 0.0
-    for i in range(num_segments - 1):
-        correlation += float(np.dot(segments[i], segments[i + 1]))
-    energy = float(np.sum(window[:needed] ** 2)) * (num_segments - 1) / num_segments
-    return correlation / max(energy, _EPS)
-
-
 def _candidate_offsets(
     received_size: int,
     start: int,
@@ -189,7 +138,7 @@ def _candidate_offsets(
     window_length: int,
     step: int,
 ) -> np.ndarray:
-    """Clamp the offset range like the reference loop does."""
+    """Clamp the offset range to windows that fit inside the buffer."""
     start = max(0, int(start))
     stop = min(int(stop), received_size - window_length)
     if stop < start:
@@ -248,27 +197,6 @@ def sliding_correlation_curve(
         / num_segments
     )
     metric = correlation / np.maximum(energy, _EPS)
-    return offsets, metric
-
-
-def sliding_correlation_curve_reference(
-    received: np.ndarray,
-    start: int,
-    stop: int,
-    segment_length: int,
-    pn_signs: np.ndarray,
-    step: int = 8,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-offset loop implementation, retained as the golden reference."""
-    received = np.asarray(received, dtype=float)
-    pn_signs = np.asarray(pn_signs, dtype=float)
-    window_length = segment_length * pn_signs.size
-    offsets = _candidate_offsets(received.size, start, stop, window_length, step)
-    metric = np.empty(offsets.size, dtype=float)
-    for i, offset in enumerate(offsets):
-        metric[i] = normalized_sliding_correlation(
-            received[offset:offset + window_length], segment_length, pn_signs
-        )
     return offsets, metric
 
 

@@ -29,21 +29,16 @@ from collections import OrderedDict
 
 import numpy as np
 
-try:  # scipy's pocketfft is bit-identical to numpy's and faster; the
-    # next_fast_len helper finds 5-smooth sizes.  Fall back to numpy + powers
-    # of two when scipy is unavailable.
-    from scipy import fft as _fft
-    from scipy.fft import next_fast_len as _next_fast_len
+# scipy's pocketfft is bit-identical to numpy's and faster; its
+# next_fast_len helper finds 5-smooth sizes.
+from scipy import fft as _fft
+from scipy.fft import next_fast_len as _next_fast_len
 
-    def next_fast_len(n: int) -> int:
-        """Smallest efficient real-FFT length >= ``n``."""
-        return int(_next_fast_len(int(n), real=True))
-except ImportError:  # pragma: no cover - scipy is a hard dependency elsewhere
-    from numpy import fft as _fft
 
-    def next_fast_len(n: int) -> int:
-        """Smallest power of two >= ``n`` (scipy-free fallback)."""
-        return 1 << max(int(n) - 1, 0).bit_length()
+def next_fast_len(n: int) -> int:
+    """Smallest efficient real-FFT length >= ``n``."""
+    return int(_next_fast_len(int(n), real=True))
+
 
 rfft = _fft.rfft
 irfft = _fft.irfft

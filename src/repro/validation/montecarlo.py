@@ -169,10 +169,9 @@ class MonteCarloRunner:
         self.cache_dir = cache_dir
         self.progress = progress
         # In-process record memo keyed by scenario hash, shared across
-        # every run()/ab_compare call on this runner: figures with
-        # identical grids (ber_vs_snr and throughput_vs_distance sweep the
-        # same scenarios) and the A/B baselines reuse records instead of
-        # re-simulating the link PHY.
+        # every run() call on this runner: figures with identical grids
+        # (ber_vs_snr and throughput_vs_distance sweep the same scenarios)
+        # reuse records instead of re-simulating the link PHY.
         self._memo: dict[str, object] = {}
 
     def _emit(self, message: str) -> None:

@@ -1,17 +1,27 @@
 """Shared helpers for the golden-equivalence test suites.
 
-The golden tests compare fast implementations against retained references
-on *randomized* inputs, so a failure report is only actionable if it
+The golden tests compare fast implementations against the references in
+``tests/oracles`` on *randomized* inputs, so a failure report is only actionable if it
 names the seed (and input shape) that produced it.  These wrappers raise
 ``AssertionError`` messages that contain the offending seed, the measured
 maximum deviation versus the allowed tolerance, and a ready-to-paste
 reproduction snippet -- turning "assert_allclose failed somewhere in a
 loop over 10 seeds" into a one-command repro.
+
+The second half reruns whole link figures seed-paired with an oracle
+patched in, for the A/B equivalence tests.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from oracles.channel import propagate_reference
+from oracles.equalizer import dense_solve
+
+from repro.channel.channel import UnderwaterAcousticChannel
+from repro.core.equalizer import MMSEEqualizer
+from repro.validation import MonteCarloRunner, get_figure
+from repro.validation.figures import link_outcome
 
 
 def _failure_message(
@@ -105,3 +115,81 @@ def assert_bit_identical_seeded(actual, desired, seed, label: str, detail: str =
                 + (f"; {detail}" if detail else ""),
             )
         )
+
+
+# ------------------------------------------------------- seed-paired figure A/B
+#: Runtime method -> test oracle swaps the whole-figure A/B reruns apply.
+#: ``"fast-path"`` runs every channel through the seed ``fftconvolve``
+#: pipeline, ``"solver"`` every equalizer fit through the dense O(n^3)
+#: Toeplitz solve.
+ORACLE_VARIANTS = {
+    "fast-path": (UnderwaterAcousticChannel, "_propagate_fast", propagate_reference),
+    "solver": (MMSEEqualizer, "_solve", dense_solve),
+}
+
+#: Per-metric bound on the largest absolute seed-paired difference.
+#: Decisions are expected to be identical (delta exactly 0.0); 0.01
+#: tolerates a lone borderline packet in a 100-packet campaign without
+#: masking real divergence.
+AB_TOLERANCES = {"coded_ber": 0.01, "per": 0.01, "detection_rate": 0.01}
+
+
+def patch_oracle(monkeypatch, variant: str) -> list:
+    """Swap one runtime method for its oracle; returns the oracle's call log."""
+    owner, name, oracle = ORACLE_VARIANTS[variant]
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return oracle(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def _figure_outcomes(figure: str, trials: int, base_seed: int, quick: bool) -> list:
+    # A fresh runner per side, in-process and without a result cache: the
+    # two sides run identical scenarios, so any shared memo would compare
+    # a run with itself.
+    runner = MonteCarloRunner(trials=trials, base_seed=base_seed, max_workers=1)
+    scenarios = runner.scenarios_for(get_figure(figure), quick=quick)
+    return [link_outcome(record) for record in runner.run_link_records(scenarios)]
+
+
+def _metric_value(outcome, metric: str) -> float:
+    if metric in outcome.counts:
+        successes, total = outcome.counts[metric]
+        return successes / total if total else float("nan")
+    return float(outcome.values[metric])
+
+
+def seed_paired_max_deltas(
+    monkeypatch,
+    variant: str,
+    figure: str = "ber_vs_snr",
+    trials: int = 2,
+    base_seed: int = 0,
+    quick: bool = True,
+) -> dict[str, float]:
+    """Rerun a link figure on the runtime and on an oracle, seed-paired.
+
+    Returns the largest absolute per-trial difference of each
+    :data:`AB_TOLERANCES` metric.  Fails if the oracle was never called or
+    a metric has no finite pair, so the comparison cannot pass vacuously.
+    """
+    runtime = _figure_outcomes(figure, trials, base_seed, quick)
+    with monkeypatch.context() as patch:
+        calls = patch_oracle(patch, variant)
+        oracle = _figure_outcomes(figure, trials, base_seed, quick)
+    assert calls, f"{variant} oracle was never called"
+    assert len(runtime) == len(oracle)
+    deltas = {}
+    for metric in AB_TOLERANCES:
+        pairs = [
+            abs(_metric_value(a, metric) - _metric_value(b, metric))
+            for a, b in zip(runtime, oracle)
+        ]
+        finite = [d for d in pairs if d == d]  # NaN: no data in that trial
+        assert finite, f"{figure}/{variant}/{metric}: no finite pair"
+        deltas[metric] = max(finite)
+    return deltas

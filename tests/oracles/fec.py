@@ -1,12 +1,11 @@
-"""Loop-based reference Viterbi decoder (the pre-vectorization implementation).
+"""Loop-based reference Viterbi encoder and decoder.
 
-The production decoder in :mod:`repro.fec.convolutional` is fully
-vectorized; this module keeps the original per-state/per-bit Python loop
-implementation around as an executable specification.  The golden
-equivalence tests assert the two produce bit-identical decisions for every
-input class (hard, soft, erasures, punctured, terminated or not), and the
-``fec`` benchmark suite decodes the same stream with both to report the
-measured speedup.
+The production coder in :mod:`repro.fec.convolutional` is fully
+vectorized; this oracle steps the shift register one input bit at a time
+and runs explicit per-state add-compare-select loops.  The golden tests
+(``tests/test_fec_golden.py``) assert the two produce bit-identical
+decisions for every input class (hard, soft, erasures, punctured,
+terminated or not).
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ artifact, and every query -- ``where``, ``to_table``, ``metric``,
 aggregations -- must agree with the object path bit for bit.
 """
 
+import json
 import math
 import tempfile
 import pathlib
@@ -44,7 +45,6 @@ _scenarios = st.builds(
     num_packets=st.integers(min_value=1, max_value=4),
     seed=st.integers(min_value=0, max_value=999),
     label=st.text(max_size=8),  # unicode, including '' and whitespace
-    use_fast_path=st.booleans(),
     rx_depth_m=st.one_of(st.none(), st.sampled_from([0.5, 2.0])),
 )
 
@@ -198,7 +198,7 @@ def _records_with_criteria(draw):
     criteria = {}
     names = draw(st.sets(
         st.sampled_from(["site", "scheme", "distance_m", "seed",
-                         "use_fast_path", "label", "motion", "rx_depth_m"]),
+                         "label", "motion", "rx_depth_m"]),
         max_size=3,
     ))
     for name in names:
@@ -217,7 +217,6 @@ def _records_with_criteria(draw):
                 "scheme": st.sampled_from(["adaptive", "fixed-3k"]),
                 "distance_m": st.sampled_from([4.0, 5.0, 99.0]),
                 "seed": st.integers(0, 999),
-                "use_fast_path": st.booleans(),
                 "label": st.text(max_size=8),
                 "motion": st.sampled_from(["static", "slow"]),
                 "rx_depth_m": st.one_of(st.none(), st.sampled_from([0.5, 2.0])),
@@ -358,6 +357,30 @@ def test_load_npz_rejects_wrong_version(tmp_path):
     arrays["version"] = np.asarray(99)
     np.savez(path, **arrays)
     with pytest.raises(ValueError):
+        ColumnarResultSet.load_npz(path)
+
+
+@pytest.mark.parametrize("owner, key, value", [
+    ("scenario", "use_fast_path", True),
+    ("modem", "equalizer_solver", "levinson"),
+])
+def test_load_npz_rejects_artifact_with_retired_scenario_fields(
+        tmp_path, owner, key, value):
+    """Artifacts written while ``Scenario.use_fast_path`` and
+    ``ModemSpec.equalizer_solver`` existed carry those keys in their
+    scenario JSON; they must read as corrupt (a cache miss), not crash."""
+    columnar = ColumnarResultSet.from_result_set(_simulated(2))
+    path = columnar.save_npz(tmp_path / "results.npz")
+    arrays = dict(np.load(path, allow_pickle=False))
+    old_entries = []
+    for text in arrays["scenario_json"]:
+        data = json.loads(str(text))
+        (data if owner == "scenario" else data["modem"])[key] = value
+        old_entries.append(json.dumps(data, sort_keys=True))
+    arrays["scenario_json"] = np.asarray(old_entries)
+    np.savez(path, **arrays)
+    with pytest.raises(ValueError,
+                       match="corrupt columnar artifact.*undecodable scenario entry"):
         ColumnarResultSet.load_npz(path)
 
 

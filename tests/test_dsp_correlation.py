@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.dsp.correlation import (
+from oracles.correlation import (
     normalized_cross_correlation,
     normalized_sliding_correlation,
-    sliding_correlation_curve,
-    sliding_correlation_peak,
 )
+
+from repro.dsp.correlation import sliding_correlation_curve, sliding_correlation_peak
 
 
 def _repeated_segments(segment, signs):

@@ -2,8 +2,9 @@
 
 Mirrors the pattern of tests/test_fec_golden.py: every frequency-domain /
 vectorized fast path introduced by the link-layer optimization PR is
-compared against the retained reference implementation on randomized
-inputs, with the tolerance of each comparison documented at the assert.
+compared against its reference implementation in ``tests/oracles`` on
+randomized inputs, with the tolerance of each comparison documented at
+the assert.
 
 Tolerances, and why they are what they are (PR-5 audit: every bound was
 measured over >= 8 fresh seeds and is quoted at the assert; the asserted
@@ -39,20 +40,23 @@ and the measured deviation so any flake is a one-command repro.
 
 from __future__ import annotations
 
+import types
+
 import numpy as np
 import pytest
 from scipy import signal as sp_signal
 
 from _golden_utils import assert_allclose_seeded
+from oracles.channel import propagate_reference
+from oracles.correlation import (
+    normalized_cross_correlation,
+    sliding_correlation_curve_reference,
+)
+from oracles.equalizer import dense_solve, levinson_solve
 
 from repro.channel.motion import MOTION_PRESETS
 from repro.core.equalizer import MMSEEqualizer
-from repro.dsp.correlation import (
-    TemplateCorrelator,
-    normalized_cross_correlation,
-    sliding_correlation_curve,
-    sliding_correlation_curve_reference,
-)
+from repro.dsp.correlation import TemplateCorrelator, sliding_correlation_curve
 from repro.dsp.fastconv import (
     SpectrumCache,
     convolve_cascade,
@@ -60,7 +64,7 @@ from repro.dsp.fastconv import (
     convolve_shared,
     next_fast_len,
 )
-from repro.dsp.levinson import levinson_solve, solve_symmetric_toeplitz
+from repro.dsp.levinson import solve_symmetric_toeplitz
 from repro.environments.factory import build_channel
 from repro.environments.sites import SITE_CATALOG
 
@@ -132,6 +136,11 @@ def test_spectrum_cache_hits_on_equal_content():
 
 
 # ---------------------------------------------------------------- channel path
+def _use_reference_propagation(channel) -> None:
+    """Route this channel instance's transmits through the seed pipeline."""
+    channel._propagate_fast = types.MethodType(propagate_reference, channel)
+
+
 @pytest.mark.parametrize("motion", ["static", "slow", "fast"])
 def test_channel_fast_path_matches_reference(motion):
     """Frequency-domain transmit vs the seed fftconvolve pipeline.
@@ -145,7 +154,7 @@ def test_channel_fast_path_matches_reference(motion):
                          motion=MOTION_PRESETS[motion])
     reference = build_channel(site=SITE_CATALOG["lake"], distance_m=10.0, seed=3,
                               motion=MOTION_PRESETS[motion])
-    reference.use_fast_path = False
+    _use_reference_propagation(reference)
     waveform = np.sin(2 * np.pi * 2000.0 * np.arange(12000) / 48000.0)
     for trial in range(3):
         out_fast = fast.transmit(waveform, rng=np.random.default_rng(40 + trial),
@@ -167,7 +176,7 @@ def test_channel_fast_path_matches_reference_with_noise():
     """With noise the two paths share the same rng stream and stay close."""
     fast = build_channel(site=SITE_CATALOG["lake"], distance_m=5.0, seed=9)
     reference = build_channel(site=SITE_CATALOG["lake"], distance_m=5.0, seed=9)
-    reference.use_fast_path = False
+    _use_reference_propagation(reference)
     waveform = np.sin(2 * np.pi * 1500.0 * np.arange(9000) / 48000.0)
     out_fast = fast.transmit(waveform, rng=np.random.default_rng(77))
     out_ref = reference.transmit(waveform, rng=np.random.default_rng(77))
@@ -290,7 +299,9 @@ def test_equalizer_levinson_matches_dense_reference():
     received = np.convolve(reference_training, channel)[:1027]
     received += 0.01 * rng.normal(size=received.size)
     taps_fast = MMSEEqualizer(num_taps=480).fit(received, reference_training)
-    taps_dense = MMSEEqualizer(num_taps=480, solver="dense").fit(received, reference_training)
+    dense = MMSEEqualizer(num_taps=480)
+    dense._solve = types.MethodType(dense_solve, dense)
+    taps_dense = dense.fit(received, reference_training)
     scale = np.max(np.abs(taps_dense))
     # Measured max deviation: 1.7e-14 relative of the largest tap through
     # the 480-tap fit (seeds 0-7) -> asserted at 1e-11 (was 1e-6).

@@ -1,14 +1,16 @@
 """Golden-equivalence tests: vectorized Viterbi vs the loop reference.
 
 The vectorized decoder in :mod:`repro.fec.convolutional` must make the
-*same decisions* as the retained loop implementation in
-:mod:`repro.fec.reference` -- not just decode correctly, but be
+*same decisions* as the loop oracle in ``tests/oracles/fec.py`` -- not
+just decode correctly, but be
 bit-identical on every input class: random codewords, hard and soft
 inputs, erasure (NaN) patterns, the punctured rate-2/3 configuration, and
 terminated as well as unterminated trellises.  Noise levels are chosen
 high enough that many decodes contain residual errors, so the tests also
 pin down tie-breaking and traceback behaviour, not only the easy
-error-free paths.
+error-free paths.  Both encoders are additionally anchored to published
+textbook vectors, so the oracle is checked against something outside
+this repository too.
 
 Tolerance audit (PR 5): this suite deliberately carries **no** atol/rtol
 anywhere -- every comparison is exact array equality.  Both decoders
@@ -25,22 +27,56 @@ import numpy as np
 import pytest
 
 from _golden_utils import assert_bit_identical_seeded
+from oracles.fec import (
+    reference_decode,
+    reference_encode,
+    reference_punctured_decode,
+)
 
 from repro.fec.convolutional import (
     ConvolutionalCode,
     PuncturedConvolutionalCode,
     hard_bits_to_soft,
 )
-from repro.fec.reference import (
-    reference_decode,
-    reference_encode,
-    reference_punctured_decode,
+
+#: Published encoder vectors ``(constraint_length, polynomials, input,
+#: terminated output)`` with octal generators read MSB-first.
+TEXTBOOK_VECTORS = [
+    # Abrantes, "From BCH to turbo codes", p. 307: K=3, (7, 5) octal.
+    (3, (0o7, 0o5), [1, 0, 1, 1, 1, 0, 1, 1],
+     [1, 1, 1, 0, 0, 0, 0, 1, 1, 0, 0, 1, 0, 0, 0, 1, 0, 1, 1, 1]),
+    # Lin & Costello, "Error Control Coding", pp. 454-456: K=4, (13, 17).
+    (4, (0o13, 0o17), [1, 0, 1, 1, 1],
+     [1, 1, 0, 1, 0, 0, 0, 1, 0, 1, 0, 1, 0, 0, 1, 1]),
+]
+_textbook_vectors = pytest.mark.parametrize(
+    "constraint_length, polynomials, bits, expected", TEXTBOOK_VECTORS,
+    ids=["abrantes-k3", "lin-costello-k4"],
 )
 
 
 @pytest.fixture(scope="module")
 def code():
     return ConvolutionalCode()
+
+
+@_textbook_vectors
+def test_encoders_reproduce_textbook_vectors(constraint_length, polynomials,
+                                             bits, expected):
+    textbook = ConvolutionalCode(constraint_length, polynomials)
+    np.testing.assert_array_equal(textbook.encode(bits), expected)
+    np.testing.assert_array_equal(reference_encode(textbook, bits), expected)
+
+
+@_textbook_vectors
+def test_decoders_recover_textbook_inputs(constraint_length, polynomials,
+                                          bits, expected):
+    textbook = ConvolutionalCode(constraint_length, polynomials)
+    corrupted = np.array(expected)
+    corrupted[3] ^= 1  # one channel error, well inside the free distance
+    for coded in (np.array(expected), corrupted):
+        np.testing.assert_array_equal(textbook.decode(coded), bits)
+        np.testing.assert_array_equal(reference_decode(textbook, coded), bits)
 
 
 @pytest.mark.parametrize("terminate", [True, False])

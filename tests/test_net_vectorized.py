@@ -6,8 +6,8 @@ transmit plans) must be a pure performance change: every scenario,
 validation envelope and trace fixture committed before it has to
 reproduce bit for bit.  These tests pin that contract from several
 directions -- committed golden scenario signatures, brute-force neighbour
-oracles on randomized deployments, the retained scalar routing reference,
-and the committed 9-node trace fixture replayed through the legacy
+oracles on randomized deployments, the scalar routing oracle in
+``tests/oracles/routing.py``, and the committed 9-node trace fixture replayed through the legacy
 mobility draw order.
 """
 
@@ -19,6 +19,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+from oracles.routing import greedy_next_hops_reference
 
 from repro.experiments.net_scenario import NetScenario
 from repro.net.links import CalibratedLink
@@ -243,7 +245,7 @@ def test_greedy_next_hops_matches_scalar_reference(mode, seed):
                 created_s=0.0,
             )
             assert routing.next_hops(node, packet, topology) == (
-                routing.next_hops_reference(node, packet, topology)
+                greedy_next_hops_reference(routing, node, packet, topology)
             ), f"seed {seed} mode {mode}: {node} -> {destination}"
 
 
@@ -258,7 +260,7 @@ def test_greedy_memo_invalidates_on_mobility():
     rng = np.random.default_rng(9)
     for _ in range(10):
         topology.step_mobility(60.0, rng)
-        expected = routing.next_hops_reference("n3", packet, topology)
+        expected = greedy_next_hops_reference(routing, "n3", packet, topology)
         assert routing.next_hops("n3", packet, topology) == expected
 
 
