@@ -49,7 +49,6 @@ SIGCOMM 2022).  It contains:
 from repro.core.config import OFDMConfig, ProtocolConfig
 from repro.core.modem import AquaModem
 from repro.experiments import (
-    ColumnarResultSet,
     ExperimentRunner,
     ModemSpec,
     NetScenario,
@@ -90,7 +89,6 @@ __all__ = [
     "NetScenario",
     "ModemSpec",
     "Sweep",
-    "ColumnarResultSet",
     "ExperimentRunner",
     "ResultSet",
     "RunRecord",

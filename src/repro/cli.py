@@ -537,7 +537,7 @@ def _run_sweep(args) -> int:
         # genuine simulation errors during the run keep their tracebacks.
         print(f"error: {error}", file=sys.stderr)
         return 2
-    results = runner.run_columnar(scenarios, progress=True if args.stream else None)
+    results = runner.run(scenarios, progress=True if args.stream else None)
     workers = args.workers if args.workers is not None else "auto"
     print(f"{len(scenarios)} scenario(s), {args.packets} packets each, "
           f"workers={workers}"

@@ -4,8 +4,12 @@ This package is the experiment-orchestration layer of the reproduction.
 Instead of hand-rolling loops around ``build_link_pair`` + ``LinkSession``,
 an evaluation point is declared as a :class:`Scenario`, families of points
 are expanded with :class:`Sweep`, and :class:`ExperimentRunner` executes
-them -- across processes when that pays off -- returning a serializable
-:class:`ResultSet`.
+them -- across processes when that pays off -- returning a
+:class:`ResultSet`: the one result container, which stores the records
+in columnar numpy arenas, filters and aggregates them vectorized, and
+persists them as JSON (:meth:`ResultSet.save`) or as a ``.npz`` artifact
+(:meth:`ResultSet.save_npz`).  :class:`SweepService` puts a
+submit/stream/fetch job front end over the runner.
 
 Worked example -- the paper's range sweep (Fig. 12) in a few lines::
 
@@ -30,9 +34,9 @@ cache (``cache_dir=...``) makes re-running a partially finished campaign
 free for the points already computed.
 """
 
-from repro.experiments.columnar import ColumnarResultSet
+from repro.experiments.columnar import ColumnarResultSet, ResultSet
 from repro.experiments.net_scenario import NetScenario, run_net_scenario
-from repro.experiments.records import DEFAULT_TABLE_COLUMNS, ResultSet, RunRecord
+from repro.experiments.records import DEFAULT_TABLE_COLUMNS, RunRecord
 from repro.experiments.runner import CacheMissWarning, ExperimentRunner
 from repro.experiments.scenario import SCHEME_CATALOG, ModemSpec, Scenario, run_scenario
 from repro.experiments.service import SweepJob, SweepService
@@ -40,7 +44,6 @@ from repro.experiments.sweep import Sweep
 
 __all__ = [
     "CacheMissWarning",
-    "ColumnarResultSet",
     "DEFAULT_TABLE_COLUMNS",
     "ExperimentRunner",
     "ModemSpec",

@@ -1,10 +1,8 @@
-"""Columnar storage for experiment results.
+"""The result container: experiment records in columnar numpy arenas.
 
-:class:`ColumnarResultSet` holds the same information as a
-:class:`~repro.experiments.records.ResultSet` -- one
-:class:`~repro.experiments.records.RunRecord` per executed scenario --
-but stores it in grow-by-doubling numpy arenas instead of per-record
-Python objects:
+:class:`ResultSet` holds one :class:`~repro.experiments.records.RunRecord`
+per executed scenario, stored in grow-by-doubling numpy arenas instead of
+per-record Python objects:
 
 * every scalar metric (packet error rate, delivered counts, ...) is one
   contiguous column, so aggregating a 100k-record sweep is a handful of
@@ -19,21 +17,22 @@ Python objects:
   columns so :meth:`where` vectorizes without materializing a single
   :class:`~repro.experiments.scenario.Scenario`.
 
-The round trip to the object representation is lossless --
-``ColumnarResultSet.from_result_set(rs).to_result_set() == rs`` holds for
-any result set, including NaN/inf metric values and unicode scenario
-labels -- and :meth:`where` / :meth:`to_table` / :meth:`metric` agree
-with the object path by construction (the equivalence-oracle property
-suite in ``tests/test_columnar.py`` enforces this on randomized inputs).
+Records materialize losslessly (NaN/inf metric values and unicode
+scenario labels included), and :meth:`where` / :meth:`to_table` /
+:meth:`metric` agree with the per-record object container kept as a test
+oracle (``tests/oracles/results.py``; the hypothesis suite in
+``tests/test_columnar.py`` enforces this on randomized inputs).
 
-On disk a columnar result set is a ``.npz`` artifact
-(:meth:`save_npz` / :meth:`load_npz`) written beside the runner's JSON
-cache; the format is versioned and a truncated or foreign file raises a
+On disk a result set is either JSON (:meth:`save` / :meth:`load`: the
+list of :meth:`RunRecord.to_dict` entries) or a ``.npz`` artifact
+(:meth:`save_npz` / :meth:`load_npz`).  Both are written atomically.  The
+``.npz`` format is versioned, and a truncated or foreign file raises a
 :class:`ValueError` so callers can treat it as a cache miss.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import pathlib
 import zipfile
@@ -46,7 +45,7 @@ from repro.channel.motion import MOTION_PRESETS
 from repro.devices.case import CASE_CATALOG
 from repro.devices.models import DEVICE_CATALOG
 from repro.environments.sites import SITE_CATALOG
-from repro.experiments.records import DEFAULT_TABLE_COLUMNS, ResultSet, RunRecord
+from repro.experiments.records import DEFAULT_TABLE_COLUMNS, RunRecord
 from repro.experiments.scenario import (
     SCHEME_CATALOG,
     ModemSpec,
@@ -55,6 +54,7 @@ from repro.experiments.scenario import (
     _serialize_catalog_value,
     content_hash,
 )
+from repro.utils.atomic import atomic_write
 
 #: ``.npz`` artifact format marker and version (bump on layout changes).
 NPZ_FORMAT = "repro.columnar-results"
@@ -198,8 +198,8 @@ def _equals_mask(column: np.ndarray, wanted) -> np.ndarray:
     """Elementwise ``column == wanted`` as a boolean mask.
 
     Comparing a numpy column to an incomparable type yields a scalar
-    ``False``; broadcast it so callers always get a per-row mask (the
-    object path's ``getattr(...) != wanted`` likewise fails everywhere).
+    ``False``; broadcast it so callers always get a per-row mask
+    (:meth:`Scenario.matches`' ``!=`` likewise fails everywhere).
     """
     result = column == wanted
     if np.ndim(result) == 0:
@@ -244,14 +244,15 @@ def _segment_median_finite(values: np.ndarray, offsets: np.ndarray) -> np.ndarra
     return out
 
 
-class ColumnarResultSet:
+class ResultSet:
     """Ordered experiment results in grow-by-doubling numpy arenas.
 
-    Behaves like :class:`~repro.experiments.records.ResultSet` -- same
-    :meth:`where` / :meth:`lookup` / :meth:`metric` / :meth:`to_table` /
-    :meth:`save` surface, same iteration order -- while storing columns
-    instead of objects.  Records materialize lazily via :meth:`record`;
-    aggregation never touches per-record Python objects.
+    A sequence of :class:`RunRecord` (iteration, indexing, slicing,
+    ``len``) with :meth:`where` / :meth:`lookup` selection, vectorized
+    :meth:`metric` aggregation, :meth:`to_table` rendering and JSON /
+    ``.npz`` persistence.  Records materialize lazily via :meth:`record`;
+    aggregation never touches per-record Python objects.  Two result
+    sets are equal when their record lists are.
     """
 
     def __init__(self, records=None) -> None:
@@ -298,11 +299,9 @@ class ColumnarResultSet:
         return self.record(int(index))
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, ColumnarResultSet):
-            other = other.to_result_set()
         if not isinstance(other, ResultSet):
             return NotImplemented
-        return self.to_result_set() == other
+        return list(self) == list(other)
 
     # ------------------------------------------------------------ ingestion
     def _intern_scenario(self, scenario: Scenario) -> int:
@@ -401,15 +400,6 @@ class ColumnarResultSet:
             elapsed_s=floats["elapsed_s"],
         )
 
-    def to_result_set(self) -> ResultSet:
-        """Materialize every record (the lossless inverse of ingestion)."""
-        return ResultSet([self.record(i) for i in range(len(self))])
-
-    @classmethod
-    def from_result_set(cls, results: ResultSet) -> "ColumnarResultSet":
-        """Build a columnar set from an object result set."""
-        return cls(results.records)
-
     # ------------------------------------------------------------ selection
     def _unique_array(self, key: str, values, dtype) -> np.ndarray:
         cached = self._unique_arrays.get(key)
@@ -463,9 +453,8 @@ class ColumnarResultSet:
                 wanted_id,
             )
         # No fast column (record properties such as ``scheme_key``, future
-        # fields): object path per unique scenario.  Scenario.matches also
-        # supplies the AttributeError for unknown names, keeping error
-        # behavior identical to ResultSet.where.
+        # fields): Scenario.matches per unique scenario, which also
+        # supplies the AttributeError for unknown names.
         mask = np.zeros(count, dtype=np.bool_)
         for sid in range(count):
             mask[sid] = self.scenario_for_id(sid).matches(**{name: wanted})
@@ -476,7 +465,8 @@ class ColumnarResultSet:
         """Canonical serialized spelling of one interned-field criterion.
 
         Returns ``None`` when ``wanted``'s type can never equal the field
-        (mirroring the object path, where ``!=`` then holds everywhere).
+        (mirroring :meth:`Scenario.matches`, where ``!=`` then holds
+        everywhere).
         """
         if name == "label":
             return _canonical(wanted) if isinstance(wanted, str) else None
@@ -493,18 +483,18 @@ class ColumnarResultSet:
         self,
         predicate: Callable[[RunRecord], bool] | None = None,
         **criteria,
-    ) -> "ColumnarResultSet":
+    ) -> "ResultSet":
         """Records whose scenario matches the criteria (and predicate).
 
-        Same semantics as :meth:`ResultSet.where` -- catalog keys are
-        accepted for site/motion/device/case/scheme -- but criteria are
-        evaluated on the per-unique-scenario columns, so filtering never
+        Criteria follow :meth:`Scenario.matches` -- catalog keys are
+        accepted for site/motion/device/case/scheme -- but are evaluated
+        on the per-unique-scenario columns, so filtering never
         materializes records (unless a ``predicate`` needs them).
         """
         if len(self) == 0:
-            # The object path never evaluates criteria on an empty set;
-            # neither do we (so an unknown spelling cannot raise here).
-            return ColumnarResultSet()
+            # Criteria are never evaluated on an empty set (so an unknown
+            # spelling cannot raise here).
+            return ResultSet()
         unique_mask = np.ones(len(self._scenario_hashes), dtype=np.bool_)
         for name, wanted in criteria.items():
             unique_mask &= self._criterion_mask(name, wanted)
@@ -526,9 +516,9 @@ class ColumnarResultSet:
             )
         return picked.record(0)
 
-    def _gather(self, indices: np.ndarray) -> "ColumnarResultSet":
-        """A new columnar set holding the given record indices, in order."""
-        out = ColumnarResultSet()
+    def _gather(self, indices: np.ndarray) -> "ResultSet":
+        """A new result set holding the given record indices, in order."""
+        out = ResultSet()
         for index in indices:
             index = int(index)
             out._scenario_ids.append(out._intern_scenario(self.scenario(index)))
@@ -547,8 +537,8 @@ class ColumnarResultSet:
 
         Scalar columns come back as zero-copy read-only views; derived
         metrics (``median_bitrate_bps``) are computed vectorized over the
-        ragged arenas.  Unknown names fall back to the object path so any
-        :class:`RunRecord` attribute stays reachable.
+        ragged arenas.  Unknown names are read from the materialized
+        records, so any :class:`RunRecord` attribute stays reachable.
         """
         if name in _FLOAT_FIELDS:
             return self._float_cols[name].view()
@@ -591,14 +581,18 @@ class ColumnarResultSet:
     def total_elapsed_s(self) -> float:
         """Sum of the per-record execution times.
 
-        Summed sequentially (not ``np.sum``'s pairwise order) so the
-        result is bit-identical to :attr:`ResultSet.total_elapsed_s`.
+        Summed sequentially (not ``np.sum``'s pairwise order), so the
+        result is bit-identical to a plain Python ``sum`` over records.
         """
         return float(sum(self._float_cols["elapsed_s"].view().tolist()))
 
     # --------------------------------------------------------------- export
     def to_table(self, columns=DEFAULT_TABLE_COLUMNS) -> str:
-        """Fixed-width text table, identical to :meth:`ResultSet.to_table`."""
+        """Fixed-width text table of the result set.
+
+        Columns are names from :data:`DEFAULT_TABLE_COLUMNS` or any record
+        attribute; ``scenario`` renders the scenario's one-line summary.
+        """
         n = len(self)
         rendered: dict[str, list[str]] = {}
         for column in columns:
@@ -648,21 +642,27 @@ class ColumnarResultSet:
         rows = [[rendered[c][i] for c in columns] for i in range(n)]
         return format_table(list(columns), rows)
 
+    def to_dicts(self, include_timing: bool = False) -> list[dict]:
+        """List-of-dictionaries form (one :meth:`RunRecord.to_dict` each)."""
+        return [record.to_dict(include_timing=include_timing) for record in self]
+
     def to_json(self, indent: int | None = None, include_timing: bool = False) -> str:
-        """JSON form, identical to the object path's."""
-        return self.to_result_set().to_json(
-            indent=indent, include_timing=include_timing
-        )
+        """JSON form (stable across serial/parallel execution)."""
+        return json.dumps(self.to_dicts(include_timing=include_timing), indent=indent)
 
     def save(self, path, include_timing: bool = False) -> pathlib.Path:
-        """Write the legacy JSON form (``ResultSet.load`` compatible)."""
-        return self.to_result_set().save(path, include_timing=include_timing)
+        """Atomically write the JSON form to ``path`` and return the path."""
+        return atomic_write(path, self.to_json(indent=2, include_timing=include_timing))
+
+    @classmethod
+    def load(cls, path) -> "ResultSet":
+        """Load a result set previously written by :meth:`save`."""
+        data = json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
+        return cls(RunRecord.from_dict(entry) for entry in data)
 
     # ----------------------------------------------------------- npz format
     def save_npz(self, path) -> pathlib.Path:
-        """Write the columnar arenas to a versioned ``.npz`` artifact."""
-        path = pathlib.Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
+        """Atomically write the arenas to a versioned ``.npz`` artifact."""
         strings = self._scenario_table.strings
         arrays: dict[str, np.ndarray] = {
             "format": np.asarray(NPZ_FORMAT),
@@ -684,12 +684,12 @@ class ColumnarResultSet:
         for name in _SERIES_FIELDS:
             arrays[f"{name}__values"] = np.asarray(self._series[name].values.view())
             arrays[f"{name}__offsets"] = np.asarray(self._series[name].offsets.view())
-        with open(path, "wb") as handle:
-            np.savez_compressed(handle, **arrays)
-        return path
+        buffer = io.BytesIO()
+        np.savez_compressed(buffer, **arrays)
+        return atomic_write(path, buffer.getvalue())
 
     @classmethod
-    def load_npz(cls, path) -> "ColumnarResultSet":
+    def load_npz(cls, path) -> "ResultSet":
         """Load a :meth:`save_npz` artifact.
 
         Raises :class:`ValueError` on any corruption -- truncated zip,
@@ -707,26 +707,36 @@ class ColumnarResultSet:
         return cls._from_npz_arrays(arrays, source=str(path))
 
     @classmethod
-    def _from_npz_arrays(cls, arrays: dict, source: str = "") -> "ColumnarResultSet":
+    def _from_npz_arrays(cls, arrays: dict, source: str = "") -> "ResultSet":
         def fail(reason: str):
             raise ValueError(f"corrupt columnar artifact {source}: {reason}")
 
+        def integer_scalar(key: str) -> int:
+            value = np.asarray(arrays[key])
+            if value.shape != () or value.dtype.kind not in "iu":
+                fail(f"{key} is not an integer scalar "
+                     f"(shape {value.shape}, dtype {value.dtype})")
+            return int(value)
+
         if "format" not in arrays or str(arrays["format"]) != NPZ_FORMAT:
             fail("missing or foreign format marker")
-        if int(arrays.get("version", -1)) != NPZ_VERSION:
+        if "version" not in arrays or integer_scalar("version") != NPZ_VERSION:
             fail(f"unsupported version {arrays.get('version')}")
-        required = (
-            ["num_records", "scenario_ids", "scenario_json", "scenario_hash",
+        columns = (
+            ["scenario_ids", "scenario_json", "scenario_hash",
              "delivered_flags__values", "delivered_flags__offsets"]
             + list(_FLOAT_FIELDS)
             + list(_INT_FIELDS)
             + [f"{name}__{part}" for name in _SERIES_FIELDS
                for part in ("values", "offsets")]
         )
-        missing = [key for key in required if key not in arrays]
+        missing = [key for key in ["num_records"] + columns if key not in arrays]
         if missing:
             fail(f"missing arrays: {', '.join(missing)}")
-        n = int(arrays["num_records"])
+        for key in columns:
+            if np.ndim(arrays[key]) != 1:
+                fail(f"array {key} is not one-dimensional")
+        n = integer_scalar("num_records")
         scenario_ids = np.asarray(arrays["scenario_ids"], dtype=np.int64)
         scenario_json = [str(s) for s in arrays["scenario_json"]]
         scenario_hash = [str(s) for s in arrays["scenario_hash"]]
@@ -774,9 +784,12 @@ class ColumnarResultSet:
         return out
 
 
+#: Former name of :class:`ResultSet`, kept for existing imports.
+ColumnarResultSet = ResultSet
+
 __all__ = [
-    "ColumnarResultSet",
     "NPZ_FORMAT",
     "NPZ_VERSION",
+    "ResultSet",
     "StringTable",
 ]

@@ -11,21 +11,23 @@
   serial run of the same scenarios (``max_workers=1`` short-circuits the
   pool entirely, which is also the fallback when only one scenario is
   pending);
-* with ``cache_dir`` set, finished records are written to
-  ``<cache_dir>/<scenario_hash>-<package version>.json`` and later runs
-  of the same scenario (same hash, same version) are served from disk
-  without re-simulating.  Keying by the package version invalidates every
-  entry when the simulation code changes, so a cached sweep can never
-  silently report numbers computed by older code.  A truncated or
-  otherwise corrupt entry is treated as a miss -- re-simulated and
-  rewritten -- with a reason-coded :class:`CacheMissWarning`.
+* with ``cache_dir`` set, finished records are written (atomically) to
+  ``<cache_dir>/<scenario_hash>-<package version>.json`` -- a one-entry
+  JSON list in the :meth:`~repro.experiments.columnar.ResultSet.save`
+  format -- and later runs of the same scenario (same hash, same
+  version) are served from disk without re-simulating.  Keying by the
+  package version invalidates every entry when the simulation code
+  changes, so a cached sweep can never silently report numbers computed
+  by older code.  A truncated or otherwise corrupt entry is treated as a
+  miss -- re-simulated and rewritten -- with a reason-coded
+  :class:`CacheMissWarning`.
 
 The primitive API is :meth:`ExperimentRunner.iter_run`: a generator that
 yields records one by one as pool futures complete, in deterministic
 submission order, so consumers (the streaming sweep service, live
 progress displays) see results while later scenarios are still running.
-The blocking :meth:`ExperimentRunner.run` /
-:meth:`ExperimentRunner.run_columnar` are thin collectors over it.
+The blocking :meth:`ExperimentRunner.run` collects it into a
+:class:`~repro.experiments.columnar.ResultSet`.
 """
 
 from __future__ import annotations
@@ -39,9 +41,10 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterable, Iterator
 
-from repro.experiments.columnar import ColumnarResultSet
-from repro.experiments.records import ResultSet, RunRecord
+from repro.experiments.columnar import ResultSet
+from repro.experiments.records import RunRecord
 from repro.experiments.scenario import Scenario, run_scenario
+from repro.utils.atomic import atomic_write
 from repro.utils.progress import progress_emitter
 
 
@@ -92,7 +95,7 @@ class ExperimentRunner:
         sweeps without starving workers on small ones.
 
     Progress is reported per call, through the ``progress`` argument of
-    :meth:`iter_run`, :meth:`run` and :meth:`run_columnar`.
+    :meth:`iter_run` and :meth:`run`.
     """
 
     def __init__(
@@ -123,7 +126,8 @@ class ExperimentRunner:
         if not path.exists():
             return None
         try:
-            record = ResultSet.load(path).records[0]
+            data = json.loads(path.read_text(encoding="utf-8"))
+            record = RunRecord.from_dict(data[0])
         except json.JSONDecodeError as error:
             warn_cache_miss(path, "json-decode", str(error))
             return None
@@ -139,7 +143,8 @@ class ExperimentRunner:
     def _store_cached(self, record: RunRecord) -> None:
         if self.cache_dir is None:
             return
-        ResultSet([record]).save(self._cache_path(record.scenario), include_timing=True)
+        entry = [record.to_dict(include_timing=True)]
+        atomic_write(self._cache_path(record.scenario), json.dumps(entry, indent=2))
 
     # -------------------------------------------------------------- running
     def iter_run(
@@ -237,21 +242,11 @@ class ExperimentRunner:
         """Execute the scenarios and return their records in order.
 
         A blocking collector over :meth:`iter_run`; the two produce
-        byte-identical records in identical order.
+        byte-identical records in identical order.  Records are appended
+        to the result set's arenas as they stream in, never held as a
+        list.
         """
-        return ResultSet(list(self.iter_run(scenarios, progress=progress)))
-
-    def run_columnar(
-        self,
-        scenarios: Iterable[Scenario],
-        progress: bool | Callable[[str], None] | None = None,
-    ) -> ColumnarResultSet:
-        """Execute the scenarios straight into columnar arenas.
-
-        Equivalent to ``ColumnarResultSet(self.run(scenarios))`` but the
-        records are appended as they stream in, never held as a list.
-        """
-        results = ColumnarResultSet()
+        results = ResultSet()
         for record in self.iter_run(scenarios, progress=progress):
             results.append(record)
         return results

@@ -13,9 +13,10 @@ SRMCA-style serving systems use for long-running simulation campaigns:
   after every record so a concurrent :meth:`~SweepService.poll` sees the
   job advance;
 * on completion the service writes one artifact beside the manifest,
-  ``results.npz`` (the columnar form), and later submissions of the same
-  sweep are served from it without simulating anything;
-  :meth:`~SweepService.fetch` exports it as ``.npz`` or JSON.
+  ``results.npz`` (:meth:`ResultSet.save_npz
+  <repro.experiments.columnar.ResultSet.save_npz>`), and later
+  submissions of the same sweep are served from it without simulating
+  anything; :meth:`~SweepService.fetch` exports it as ``.npz`` or JSON.
 
 Job layout (``MANIFEST_VERSION`` 2), under ``<root>/jobs/<job_id>/``:
 
@@ -27,11 +28,12 @@ Job layout (``MANIFEST_VERSION`` 2), under ``<root>/jobs/<job_id>/``:
   per-record rewrite costs O(1) however large the sweep;
 * ``results.npz`` -- the artifact, once the job is done.
 
-The two JSON files are replaced atomically (a temp file in the same
-directory, then :func:`os.replace`), so a concurrent reader sees either
-the previous or the next version, never a half-written one.  A manifest
-that still fails to parse (a crash or disk fault outside the service) is
-reported as a :class:`~repro.experiments.runner.CacheMissWarning` with reason
+Every file is replaced atomically (:func:`repro.utils.atomic_write`: a
+temp file in the same directory, then :func:`os.replace`), so a
+concurrent reader sees either the previous or the next version, never a
+half-written one.  A manifest that still fails to parse (a crash or
+disk fault outside the service) is reported as a
+:class:`~repro.experiments.runner.CacheMissWarning` with reason
 ``"manifest-corrupt"``: :meth:`~SweepService.submit` rebuilds it from the
 submitted scenarios and :meth:`~SweepService.list_jobs` skips the job.
 Job directories of an older manifest version (v1 kept the scenarios
@@ -54,15 +56,15 @@ same root -- the manifest and artifacts are plain files.
 from __future__ import annotations
 
 import json
-import os
 import pathlib
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from repro.experiments.columnar import ColumnarResultSet
+from repro.experiments.columnar import ResultSet
 from repro.experiments.records import RunRecord
 from repro.experiments.runner import ExperimentRunner, warn_cache_miss
 from repro.experiments.scenario import Scenario, content_hash
+from repro.utils.atomic import atomic_write
 
 #: Manifest schema version (bump on layout changes).
 MANIFEST_VERSION = 2
@@ -136,7 +138,7 @@ class SweepService:
         return self._job_dir(job_id) / "scenarios.json"
 
     def artifact_path(self, job_id: str) -> pathlib.Path:
-        """Path of a job's columnar result artifact."""
+        """Path of a job's ``.npz`` result artifact."""
         return self._job_dir(job_id) / "results.npz"
 
     @staticmethod
@@ -176,19 +178,8 @@ class SweepService:
 
     @staticmethod
     def _write_json(path: pathlib.Path, data) -> None:
-        """Atomically replace ``path`` with compact JSON of ``data``.
-
-        The temp file is per process, so concurrent writers from several
-        service processes never share one.
-        """
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        try:
-            tmp.write_text(json.dumps(data, separators=(",", ":")), encoding="utf-8")
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+        """Atomically replace ``path`` with compact JSON of ``data``."""
+        atomic_write(path, json.dumps(data, separators=(",", ":")))
 
     def _write_manifest(self, job_id: str, data: dict) -> None:
         self._write_json(self._manifest_path(job_id), data)
@@ -205,13 +196,13 @@ class SweepService:
             error=data.get("error", ""),
         )
 
-    def _load_artifact(self, job_id: str) -> ColumnarResultSet | None:
-        """The job's columnar artifact, or ``None`` when absent/corrupt."""
+    def _load_artifact(self, job_id: str) -> ResultSet | None:
+        """The job's ``.npz`` artifact, or ``None`` when absent/corrupt."""
         path = self.artifact_path(job_id)
         if not path.exists():
             return None
         try:
-            return ColumnarResultSet.load_npz(path)
+            return ResultSet.load_npz(path)
         except ValueError as error:
             warn_cache_miss(path, "npz-corrupt", str(error))
             return None
@@ -305,7 +296,7 @@ class SweepService:
         runner = ExperimentRunner(
             max_workers=self.max_workers, cache_dir=self.cache_dir
         )
-        results = ColumnarResultSet()
+        results = ResultSet()
         data["state"] = "submitted"
         data["completed"] = 0
         data["error"] = ""
@@ -327,14 +318,14 @@ class SweepService:
         data["state"] = "done"
         self._write_manifest(job_id, data)
 
-    def result(self, job_id: str) -> ColumnarResultSet:
+    def result(self, job_id: str) -> ResultSet:
         """The job's full result set, running the sweep if needed."""
         data = self._read_manifest(job_id)
         if data["state"] == "done":
             artifact = self._load_artifact(job_id)
             if artifact is not None:
                 return artifact
-        results = ColumnarResultSet()
+        results = ResultSet()
         for record in self.stream(job_id):
             results.append(record)
         return results
@@ -342,9 +333,11 @@ class SweepService:
     def fetch(self, job_id: str, out: str | pathlib.Path) -> pathlib.Path:
         """Export a finished job's artifact to ``out``.
 
-        The format follows the suffix: ``.npz`` copies the columnar
-        artifact, anything else gets JSON (readable by
-        :meth:`ResultSet.load <repro.experiments.records.ResultSet.load>`).
+        The job's artifact is loaded and re-encoded in the format the
+        suffix names: ``.npz`` writes it with :meth:`ResultSet.save_npz
+        <repro.experiments.columnar.ResultSet.save_npz>` (equal arrays,
+        new bytes), anything else gets JSON with timing (readable by
+        :meth:`ResultSet.load <repro.experiments.columnar.ResultSet.load>`).
         The job must be ``done``.
         """
         job = self.poll(job_id)

@@ -500,19 +500,18 @@ def trace_suite(quick: bool = False) -> list[Benchmark]:
 
 
 def records_suite(quick: bool = False) -> list[Benchmark]:
-    """Result-pipeline benchmarks: columnar arenas vs per-record objects.
+    """Result-pipeline benchmarks over the columnar :class:`ResultSet`.
 
     A synthetic 100k-record sweep (200 unique scenarios, 8 packets each)
-    is built once at suite-build time; the benchmark pairs then measure
-    aggregation, per-record derived metrics, ingestion and the ``.npz``
-    artifact round trip on identical data, so the columnar speedup is
-    measured against the legacy object path rather than asserted.
+    is built once at suite-build time; the benchmarks then measure
+    aggregation, the per-record derived median bitrate, ingestion and
+    the ``.npz`` artifact round trip on that data.
     """
     import pathlib
     import tempfile
 
-    from repro.experiments.columnar import ColumnarResultSet
-    from repro.experiments.records import ResultSet, RunRecord
+    from repro.experiments.columnar import ResultSet
+    from repro.experiments.records import RunRecord
     from repro.experiments.scenario import Scenario
 
     rng = np.random.default_rng(2022)
@@ -551,10 +550,8 @@ def records_suite(quick: bool = False) -> list[Benchmark]:
         )
         for i in range(n_records)
     ]
-    object_set = ResultSet(records)
-    columnar_set = ColumnarResultSet(records)
-    object_10k = ResultSet(records[:10_000])
-    columnar_10k = ColumnarResultSet(records[:10_000])
+    columnar_set = ResultSet(records)
+    columnar_10k = ResultSet(records[:10_000])
     npz_path = pathlib.Path(tempfile.mkdtemp(prefix="bench-records-")) / "r.npz"
     columnar_10k.save_npz(npz_path)
 
@@ -567,20 +564,6 @@ def records_suite(quick: bool = False) -> list[Benchmark]:
             float(np.percentile(columnar_set.metric("payload_bit_error_rate"), 95)),
         )
 
-    def aggregate_object():
-        per = object_set.metric("packet_error_rate")
-        ber = object_set.metric("coded_bit_error_rate")
-        got = object_set.metric("delivered")
-        offered = object_set.metric("num_packets")
-        payload = object_set.metric("payload_bit_error_rate")
-        return (
-            float(np.mean(per)),
-            float(np.mean(ber)),
-            float(np.sum(got)),
-            float(np.sum(got) / np.sum(offered)),
-            float(np.percentile(payload, 95)),
-        )
-
     return [
         Benchmark(
             name="records_aggregate_100k",
@@ -591,14 +574,6 @@ def records_suite(quick: bool = False) -> list[Benchmark]:
             metadata={"records": n_records, "implementation": "columnar"},
         ),
         Benchmark(
-            name="records_aggregate_100k_object",
-            func=aggregate_object,
-            items_per_call=n_records,
-            unit="records",
-            repeats=_repeats(quick, 10, 2),
-            metadata={"records": n_records, "implementation": "object path"},
-        ),
-        Benchmark(
             name="records_median_bitrate_10k",
             func=lambda: columnar_10k.metric("median_bitrate_bps"),
             items_per_call=10_000,
@@ -607,16 +582,8 @@ def records_suite(quick: bool = False) -> list[Benchmark]:
             metadata={"records": 10_000, "implementation": "columnar"},
         ),
         Benchmark(
-            name="records_median_bitrate_10k_object",
-            func=lambda: object_10k.metric("median_bitrate_bps"),
-            items_per_call=10_000,
-            unit="records",
-            repeats=_repeats(quick, 5, 1),
-            metadata={"records": 10_000, "implementation": "object path"},
-        ),
-        Benchmark(
             name="records_ingest_10k",
-            func=lambda: ColumnarResultSet(records[:10_000]),
+            func=lambda: ResultSet(records[:10_000]),
             items_per_call=10_000,
             unit="records",
             repeats=_repeats(quick, 5, 2),
@@ -624,7 +591,7 @@ def records_suite(quick: bool = False) -> list[Benchmark]:
         ),
         Benchmark(
             name="records_npz_roundtrip_10k",
-            func=lambda: ColumnarResultSet.load_npz(columnar_10k.save_npz(npz_path)),
+            func=lambda: ResultSet.load_npz(columnar_10k.save_npz(npz_path)),
             items_per_call=10_000,
             unit="records",
             repeats=_repeats(quick, 5, 2),

@@ -1,5 +1,7 @@
-"""Small shared utilities: unit conversions, RNG, validation, progress."""
+"""Small shared utilities: unit conversions, RNG, validation, progress,
+atomic file writes."""
 
+from repro.utils.atomic import atomic_write
 from repro.utils.progress import progress_emitter
 from repro.utils.rng import ensure_rng
 from repro.utils.units import (
@@ -15,6 +17,7 @@ from repro.utils.validation import (
 )
 
 __all__ = [
+    "atomic_write",
     "ensure_rng",
     "progress_emitter",
     "db_to_power_ratio",

@@ -79,9 +79,9 @@ def test_sweep_command_writes_npz_artifact(capsys, tmp_path):
                  "--npz", str(out)])
     assert code == 0
     assert "columnar artifact" in capsys.readouterr().out
-    from repro.experiments import ColumnarResultSet
+    from repro.experiments import ResultSet
 
-    results = ColumnarResultSet.load_npz(out)
+    results = ResultSet.load_npz(out)
     assert len(results) == 2
     assert {results.scenario(i).scheme_key for i in range(2)} == \
         {"adaptive", "fixed-0.5k"}
@@ -138,9 +138,9 @@ def test_jobs_command_lists_shows_and_fetches(capsys, tmp_path):
     assert main(["jobs", "--jobs", str(root), "--fetch", job_id,
                  "--out", str(out)]) == 0
     assert "artifact written to" in capsys.readouterr().out
-    from repro.experiments import ColumnarResultSet
+    from repro.experiments import ResultSet
 
-    assert len(ColumnarResultSet.load_npz(out)) == 2
+    assert len(ResultSet.load_npz(out)) == 2
 
 
 def test_jobs_command_rejects_bad_requests(capsys, tmp_path):

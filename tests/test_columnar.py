@@ -1,13 +1,13 @@
-"""Equivalence oracle for the columnar result arenas.
+"""Equivalence gate for the columnar result container.
 
-The object path (:class:`~repro.experiments.records.ResultSet`) is the
-legacy reference implementation; :class:`~repro.experiments.columnar.\
-ColumnarResultSet` must be observationally identical to it.  The
-hypothesis suite here is the gate: randomized records (NaN/inf metrics,
-unicode scenario labels, ragged per-packet series) must round-trip
-losslessly between the two representations and through the ``.npz``
+The per-record object container in ``tests/oracles/results.py`` is the
+reference implementation; the runtime :class:`~repro.experiments.\
+ResultSet` (columnar numpy arenas) must be observationally identical to
+it.  The hypothesis suite here is the gate: randomized records (NaN/inf
+metrics, unicode scenario labels, ragged per-packet series) must
+round-trip losslessly through the arenas, the JSON form and the ``.npz``
 artifact, and every query -- ``where``, ``to_table``, ``metric``,
-aggregations -- must agree with the object path bit for bit.
+aggregations -- must agree with the oracle bit for bit.
 """
 
 import json
@@ -19,6 +19,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+
+from oracles.results import ResultSet as ObjectResultSet
 
 from repro.experiments import (
     ColumnarResultSet,
@@ -93,15 +95,20 @@ def _float_equal(a: float, b: float) -> bool:
     return (math.isnan(a) and math.isnan(b)) or a == b
 
 
+def _same(results: ResultSet, reference: ObjectResultSet) -> bool:
+    """Runtime and oracle sets hold equal records in the same order."""
+    return list(results) == reference.records
+
+
 # ------------------------------------------------------------- round-trip
 @_slow
 @given(_record_lists)
 def test_roundtrip_is_lossless(records):
-    reference = ResultSet(list(records))
-    columnar = ColumnarResultSet.from_result_set(reference)
+    reference = ObjectResultSet(list(records))
+    columnar = ResultSet(reference.records)
     assert len(columnar) == len(reference)
-    assert columnar.to_result_set() == reference
-    assert columnar == reference
+    assert _same(columnar, reference)
+    assert columnar == ResultSet(list(records))
     for rebuilt, original in zip(columnar, reference):
         assert rebuilt == original
         # Record equality excludes timing; losslessness must not.
@@ -116,12 +123,12 @@ def test_roundtrip_is_lossless(records):
 @_slow
 @given(_record_lists)
 def test_npz_roundtrip_is_lossless(records):
-    columnar = ColumnarResultSet(list(records))
+    columnar = ResultSet(list(records))
     with tempfile.TemporaryDirectory(prefix="columnar-npz-") as tmp:
         path = columnar.save_npz(pathlib.Path(tmp) / "results.npz")
-        loaded = ColumnarResultSet.load_npz(path)
+        loaded = ResultSet.load_npz(path)
     assert loaded == columnar
-    assert loaded.to_result_set() == ResultSet(list(records))
+    assert _same(loaded, ObjectResultSet(list(records)))
     for rebuilt, original in zip(loaded, records):
         assert _float_equal(rebuilt.elapsed_s, original.elapsed_s)
 
@@ -129,19 +136,27 @@ def test_npz_roundtrip_is_lossless(records):
 @_slow
 @given(_record_lists)
 def test_json_form_matches_object_path(records):
-    reference = ResultSet(list(records))
-    columnar = ColumnarResultSet(list(records))
+    reference = ObjectResultSet(list(records))
+    columnar = ResultSet(list(records))
     assert columnar.to_json() == reference.to_json()
     assert (columnar.to_json(include_timing=True)
             == reference.to_json(include_timing=True))
+    with tempfile.TemporaryDirectory(prefix="columnar-json-") as tmp:
+        ours = columnar.save(pathlib.Path(tmp) / "ours.json", include_timing=True)
+        theirs = reference.save(pathlib.Path(tmp) / "theirs.json", include_timing=True)
+        assert ours.read_bytes() == theirs.read_bytes()
+        loaded = ResultSet.load(theirs)
+    assert _same(loaded, reference)
+    for rebuilt, original in zip(loaded, records):
+        assert _float_equal(rebuilt.elapsed_s, original.elapsed_s)
 
 
 # ---------------------------------------------------------------- queries
 @_slow
 @given(_record_lists)
 def test_to_table_matches_object_path(records):
-    reference = ResultSet(list(records))
-    columnar = ColumnarResultSet(list(records))
+    reference = ObjectResultSet(list(records))
+    columnar = ResultSet(list(records))
     assert columnar.to_table() == reference.to_table()
     wide = ("scenario", "packets", "per", "coded_ber", "median_bps",
             "detect", "feedback_err", "elapsed_s", "delivered")
@@ -151,8 +166,8 @@ def test_to_table_matches_object_path(records):
 @_slow
 @given(_record_lists)
 def test_metrics_and_aggregations_match_object_path(records):
-    reference = ResultSet(list(records))
-    columnar = ColumnarResultSet(list(records))
+    reference = ObjectResultSet(list(records))
+    columnar = ResultSet(list(records))
     for name in _SCALAR_METRICS:
         want = reference.metric(name)
         got = np.asarray(columnar.metric(name), dtype=float)
@@ -186,10 +201,10 @@ def test_median_of_negative_zero_matches_object_path(series):
         band_ends_hz=(0.0,) * packets, min_band_snrs_db=(0.0,) * packets,
         delivered_flags=(False,) * packets, elapsed_s=0.0,
     )
-    got = ColumnarResultSet([record]).metric("median_bitrate_bps")
+    got = ResultSet([record]).metric("median_bitrate_bps")
     assert np.signbit(got) == np.signbit(record.median_bitrate_bps)
-    assert (ColumnarResultSet([record]).to_table()
-            == ResultSet([record]).to_table())
+    assert (ResultSet([record]).to_table()
+            == ObjectResultSet([record]).to_table())
 
 
 @st.composite
@@ -229,9 +244,9 @@ def _records_with_criteria(draw):
 @given(_records_with_criteria())
 def test_where_matches_object_path(records_and_criteria):
     records, criteria = records_and_criteria
-    reference = ResultSet(list(records)).where(**criteria)
-    filtered = ColumnarResultSet(list(records)).where(**criteria)
-    assert filtered == reference
+    reference = ObjectResultSet(list(records)).where(**criteria)
+    filtered = ResultSet(list(records)).where(**criteria)
+    assert _same(filtered, reference)
     assert filtered.to_table() == reference.to_table()
 
 
@@ -239,11 +254,12 @@ def test_where_matches_object_path(records_and_criteria):
 @given(_record_lists)
 def test_where_predicate_matches_object_path(records):
     predicate = lambda r: r.delivered > 0  # noqa: E731
-    reference = ResultSet(list(records)).where(predicate)
-    filtered = ColumnarResultSet(list(records)).where(predicate)
-    assert filtered == reference
-    combined = ColumnarResultSet(list(records)).where(predicate, site="bridge")
-    assert combined == ResultSet(list(records)).where(predicate, site="bridge")
+    reference = ObjectResultSet(list(records)).where(predicate)
+    filtered = ResultSet(list(records)).where(predicate)
+    assert _same(filtered, reference)
+    combined = ResultSet(list(records)).where(predicate, site="bridge")
+    assert _same(combined,
+                 ObjectResultSet(list(records)).where(predicate, site="bridge"))
 
 
 # --------------------------------------------------- directed unit checks
@@ -258,29 +274,23 @@ def _simulated(num_scenarios=4, packets=2):
 
 
 def test_simulated_records_roundtrip_and_agree(tmp_path):
-    reference = _simulated()
-    columnar = ColumnarResultSet.from_result_set(reference)
-    assert columnar == reference
+    columnar = _simulated()
+    assert isinstance(columnar, ResultSet)
+    assert ColumnarResultSet is ResultSet
+    reference = ObjectResultSet(list(columnar))
+    assert _same(columnar, reference)
     assert columnar.to_table() == reference.to_table()
     assert columnar.to_json() == reference.to_json()
-    loaded = ColumnarResultSet.load_npz(columnar.save_npz(tmp_path / "r.npz"))
-    assert loaded == reference
+    loaded = ResultSet.load_npz(columnar.save_npz(tmp_path / "r.npz"))
+    assert loaded == columnar
     adaptive = columnar.where(scheme="adaptive")
-    assert adaptive == reference.where(scheme="adaptive")
+    assert _same(adaptive, reference.where(scheme="adaptive"))
     record = columnar.lookup(distance_m=4.0, scheme="fixed-0.5k")
     assert record == reference.lookup(distance_m=4.0, scheme="fixed-0.5k")
 
 
-def test_result_set_to_columnar_bridge():
-    reference = _simulated()
-    columnar = reference.to_columnar()
-    assert isinstance(columnar, ColumnarResultSet)
-    assert columnar == reference
-    assert columnar.to_result_set() == reference
-
-
 def test_lookup_raises_like_object_path():
-    columnar = ColumnarResultSet.from_result_set(_simulated())
+    columnar = _simulated()
     with pytest.raises(LookupError):
         columnar.lookup(scheme="adaptive")  # two matches
     with pytest.raises(LookupError):
@@ -288,8 +298,8 @@ def test_lookup_raises_like_object_path():
 
 
 def test_where_rejects_unknown_fields_like_object_path():
-    reference = _simulated()
-    columnar = ColumnarResultSet.from_result_set(reference)
+    columnar = _simulated()
+    reference = ObjectResultSet(list(columnar))
     # Unknown catalog spellings raise ValueError, unknown fields
     # AttributeError -- exactly as Scenario.matches does.
     with pytest.raises(ValueError, match="unknown"):
@@ -303,7 +313,7 @@ def test_where_rejects_unknown_fields_like_object_path():
 
 
 def test_metric_views_are_zero_copy_and_read_only():
-    columnar = ColumnarResultSet.from_result_set(_simulated())
+    columnar = _simulated()
     view = columnar.metric("packet_error_rate")
     assert not view.flags.writeable
     with pytest.raises(ValueError):
@@ -316,8 +326,8 @@ def test_metric_views_are_zero_copy_and_read_only():
 
 
 def test_record_indexing_matches_object_path():
-    reference = _simulated()
-    columnar = ColumnarResultSet.from_result_set(reference)
+    columnar = _simulated()
+    reference = ObjectResultSet(list(columnar))
     assert columnar.record(-1) == reference[len(reference) - 1]
     assert columnar[0] == reference[0]
     with pytest.raises(IndexError):
@@ -326,38 +336,38 @@ def test_record_indexing_matches_object_path():
 
 # -------------------------------------------------------- artifact safety
 def test_load_npz_rejects_truncated_file(tmp_path):
-    columnar = ColumnarResultSet.from_result_set(_simulated(2))
+    columnar = _simulated(2)
     path = columnar.save_npz(tmp_path / "results.npz")
     data = path.read_bytes()
     path.write_bytes(data[: len(data) // 2])
     with pytest.raises(ValueError, match="corrupt or unreadable"):
-        ColumnarResultSet.load_npz(path)
+        ResultSet.load_npz(path)
 
 
 def test_load_npz_rejects_garbage_and_missing_files(tmp_path):
     garbage = tmp_path / "garbage.npz"
     garbage.write_bytes(b"this is not a zip archive")
     with pytest.raises(ValueError, match="corrupt or unreadable"):
-        ColumnarResultSet.load_npz(garbage)
+        ResultSet.load_npz(garbage)
     with pytest.raises(ValueError, match="corrupt or unreadable"):
-        ColumnarResultSet.load_npz(tmp_path / "missing.npz")
+        ResultSet.load_npz(tmp_path / "missing.npz")
 
 
 def test_load_npz_rejects_foreign_npz(tmp_path):
     path = tmp_path / "foreign.npz"
     np.savez(path, unrelated=np.arange(3))
     with pytest.raises(ValueError):
-        ColumnarResultSet.load_npz(path)
+        ResultSet.load_npz(path)
 
 
 def test_load_npz_rejects_wrong_version(tmp_path):
-    columnar = ColumnarResultSet.from_result_set(_simulated(2))
+    columnar = _simulated(2)
     path = columnar.save_npz(tmp_path / "results.npz")
     arrays = dict(np.load(path, allow_pickle=False))
     arrays["version"] = np.asarray(99)
     np.savez(path, **arrays)
     with pytest.raises(ValueError):
-        ColumnarResultSet.load_npz(path)
+        ResultSet.load_npz(path)
 
 
 @pytest.mark.parametrize("owner, key, value", [
@@ -369,7 +379,7 @@ def test_load_npz_rejects_artifact_with_retired_scenario_fields(
     """Artifacts written while ``Scenario.use_fast_path`` and
     ``ModemSpec.equalizer_solver`` existed carry those keys in their
     scenario JSON; they must read as corrupt (a cache miss), not crash."""
-    columnar = ColumnarResultSet.from_result_set(_simulated(2))
+    columnar = _simulated(2)
     path = columnar.save_npz(tmp_path / "results.npz")
     arrays = dict(np.load(path, allow_pickle=False))
     old_entries = []
@@ -381,15 +391,16 @@ def test_load_npz_rejects_artifact_with_retired_scenario_fields(
     np.savez(path, **arrays)
     with pytest.raises(ValueError,
                        match="corrupt columnar artifact.*undecodable scenario entry"):
-        ColumnarResultSet.load_npz(path)
+        ResultSet.load_npz(path)
 
 
 def test_empty_set_roundtrips(tmp_path):
-    empty = ColumnarResultSet()
+    empty = ResultSet()
     assert len(empty) == 0
-    assert empty == ResultSet()
-    assert empty.where(site="atlantis") == ResultSet()  # never evaluated
-    loaded = ColumnarResultSet.load_npz(empty.save_npz(tmp_path / "e.npz"))
+    assert _same(empty, ObjectResultSet())
+    assert _same(empty.where(site="atlantis"), ObjectResultSet())  # never evaluated
+    loaded = ResultSet.load_npz(empty.save_npz(tmp_path / "e.npz"))
     assert loaded == empty
-    assert empty.to_table() == ResultSet().to_table()
+    assert ResultSet.load(empty.save(tmp_path / "e.json")) == empty
+    assert empty.to_table() == ObjectResultSet().to_table()
     assert math.isnan(empty.delivery_ratio())

@@ -1,7 +1,10 @@
 """Tests for the declarative experiment API (repro.experiments)."""
 
+import dataclasses
 import json
+import pathlib
 import re
+import shutil
 
 import numpy as np
 import pytest
@@ -289,6 +292,64 @@ def test_runner_cache_is_invalidated_by_package_version(tmp_path, monkeypatch):
     assert runner.last_cache_hits == 0
 
 
+def test_committed_cache_entry_is_served_and_rewritten_byte_identically(tmp_path):
+    """The runner's on-disk cache format is pinned by a committed entry.
+
+    ``tests/data/runner_cache_entry.json`` was written by an earlier
+    version of the runner: it must still be a hit, serve the record a
+    fresh run produces, and re-storing that record must rewrite the file
+    byte for byte.
+    """
+    committed = pathlib.Path(__file__).parent / "data" / "runner_cache_entry.json"
+    entry = json.loads(committed.read_text(encoding="utf-8"))
+    scenario = Scenario.from_dict(entry[0]["scenario"])
+    runner = ExperimentRunner(max_workers=1, cache_dir=tmp_path / "cache")
+    path = runner._cache_path(scenario)
+    path.parent.mkdir(parents=True)
+    shutil.copyfile(committed, path)
+    served = runner.run([scenario])
+    assert runner.last_cache_hits == 1
+    assert list(served) == list(ExperimentRunner(max_workers=1).run([scenario]))
+    path.unlink()
+    runner._store_cached(served[0])
+    assert path.read_bytes() == committed.read_bytes()
+
+
+@pytest.mark.parametrize("writer", ["cache", "json", "npz"])
+def test_interrupted_write_keeps_the_previous_file(tmp_path, monkeypatch, writer):
+    # A write that dies midway (disk full, crash) must leave the previous
+    # file intact and no temp file behind: every writer goes through one
+    # temp-file-then-rename helper.
+    scenario = Scenario(site="bridge", num_packets=1, seed=9)
+    runner = ExperimentRunner(max_workers=1, cache_dir=tmp_path / "cache")
+    record = runner.run([scenario])[0]
+    changed = dataclasses.replace(record, elapsed_s=record.elapsed_s + 1.0)
+    out = tmp_path / "out"
+    path, write = {
+        "cache": (runner._cache_path(scenario), runner._store_cached),
+        "json": (out / "r.json",
+                 lambda r: ResultSet([r]).save(out / "r.json", include_timing=True)),
+        "npz": (out / "r.npz", lambda r: ResultSet([r]).save_npz(out / "r.npz")),
+    }[writer]
+    write(record)
+    before = path.read_bytes()
+    real_write_bytes = pathlib.Path.write_bytes
+
+    def torn_write(self, data):
+        real_write_bytes(self, data[: len(data) // 2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(pathlib.Path, "write_bytes", torn_write)
+    with pytest.raises(OSError, match="disk full"):
+        write(changed)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in path.parent.iterdir()] == [path.name]
+    # Once the fault clears, the same write goes through.
+    write(changed)
+    assert path.read_bytes() != before
+
+
 def test_runner_progress_counts_cache_hits(tmp_path):
     cache = tmp_path / "cache"
     sweep = _tiny_sweep(4)
@@ -394,15 +455,16 @@ def test_iter_run_emits_progress_lines():
     assert all("eta" in line and "elapsed" in line for line in lines)
 
 
-def test_run_columnar_matches_run():
-    from repro.experiments import ColumnarResultSet
+def test_run_returns_the_one_result_set():
+    import repro.experiments as experiments
 
     scenarios = _tiny_sweep(4).scenarios()
-    columnar = ExperimentRunner(max_workers=1).run_columnar(scenarios)
-    reference = ExperimentRunner(max_workers=1).run(scenarios)
-    assert isinstance(columnar, ColumnarResultSet)
-    assert columnar == reference
-    assert columnar.to_json() == reference.to_json()
+    results = ExperimentRunner(max_workers=1).run(scenarios)
+    streamed = list(ExperimentRunner(max_workers=1).iter_run(scenarios))
+    assert experiments.ColumnarResultSet is experiments.ResultSet
+    assert type(results) is ResultSet
+    assert list(results) == streamed
+    assert results.to_json() == ResultSet(streamed).to_json()
 
 
 # ------------------------------------------------------ cache corruption
@@ -490,8 +552,8 @@ def test_cross_process_determinism_matches_in_process_run():
     ]
     in_process = [_execute_scenario(s) for s in scenarios]
     pooled = ExperimentRunner(max_workers=2).run(scenarios)
-    assert list(pooled.records) == in_process
-    for record, scenario in zip(pooled.records, scenarios):
+    assert list(pooled) == in_process
+    for record, scenario in zip(pooled, scenarios):
         assert record.scenario.scenario_hash() == scenario.scenario_hash()
     # The serialized form (what the JSON cache stores) must agree too.
     assert (ResultSet(in_process).to_json() == pooled.to_json())

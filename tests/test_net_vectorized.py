@@ -7,8 +7,9 @@ validation envelope and trace fixture committed before it has to
 reproduce bit for bit.  These tests pin that contract from several
 directions -- committed golden scenario signatures, brute-force neighbour
 oracles on randomized deployments, the scalar routing oracle in
-``tests/oracles/routing.py``, and the committed 9-node trace fixture replayed through the legacy
-mobility draw order.
+``tests/oracles/routing.py``, and the committed 9-node trace fixture
+replayed with the scalar mobility-draw oracle of
+``tests/oracles/mobility.py`` patched in.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles.mobility import step_mobility_reference
 from oracles.routing import greedy_next_hops_reference
 
 from repro.experiments.net_scenario import NetScenario
@@ -164,30 +166,50 @@ def test_spatial_grid_invalidates_after_mobility_and_add_node():
 
 
 # -------------------------------------------------------------- mobility rng
+def _patch_scalar_mobility(topology):
+    """Patch the scalar-draw oracle in as ``topology.step_mobility``.
+
+    Returns the list the patched method appends to on every call, so a
+    test can assert the oracle actually ran.
+    """
+    calls = []
+
+    def step(dt_s, rng=None):
+        calls.append(dt_s)
+        step_mobility_reference(topology, dt_s, rng)
+
+    topology.step_mobility = step
+    return calls
+
+
 def test_batched_and_legacy_mobility_draws_are_bit_identical():
     """One (N, 2) normal draw == 2N sequential scalar draws, elementwise."""
     runs = {}
     for mode in ("batched", "legacy"):
-        topology = AcousticNetTopology(comm_range_m=12.0, mobility_draws=mode)
+        topology = AcousticNetTopology(comm_range_m=12.0)
         for index in range(30):
             topology.add_node(
                 f"n{index}", (index % 6) * 8.0, (index // 6) * 8.0, 1.0,
                 velocity_m_s=(0.05, -0.02, 0.01),
             )
+        calls = _patch_scalar_mobility(topology) if mode == "legacy" else None
         rng = np.random.default_rng(42)
         for _ in range(4):
             topology.step_mobility(15.0, rng)
-        runs[mode] = topology.positions_m().copy()
-    np.testing.assert_array_equal(runs["batched"], runs["legacy"])
+        runs[mode] = (topology.positions_m().copy(), rng.random())
+    assert calls == [15.0] * 4
+    np.testing.assert_array_equal(runs["batched"][0], runs["legacy"][0])
+    # Both paths leave the generator at the same point of its stream.
+    assert runs["batched"][1] == runs["legacy"][1]
 
 
 def test_legacy_draw_order_mode_reproduces_trace_fixture():
-    """Cross-path determinism: the committed 9-node fixture replays bit
-    for bit through a legacy-draw-order topology.
+    """Cross-path determinism on the committed 9-node fixture.
 
-    The fixture was captured before the vectorized engine existed, so
-    this closes the loop: old capture -> new engine (in its compatibility
-    draw order) -> identical metrics signature.
+    The fixture was captured before the vectorized engine existed: its
+    replay must reproduce the captured metrics signature.  Replayed again
+    with periodic mobility steps, the scalar-draw oracle and the batched
+    runtime step must yield the identical signature and final positions.
     """
     from repro.trace.capture import metrics_signature
     from repro.trace.events import load_trace
@@ -197,14 +219,6 @@ def test_legacy_draw_order_mode_reproduces_trace_fixture():
     captured = trace.meta.get("capture_metrics")
     assert captured, "fixture must carry capture_metrics metadata"
     scenario = scenario_from_trace(trace)
-    topology = scenario.build_topology()
-    legacy = AcousticNetTopology(
-        site=topology.site, comm_range_m=topology.comm_range_m,
-        mobility_draws="legacy",
-    )
-    for name in topology.names:
-        position = topology.position(name)
-        legacy.add_node(name, position.x_m, position.y_m, position.depth_m)
     arq = (
         None
         if scenario.arq == "none"
@@ -216,16 +230,31 @@ def test_legacy_draw_order_mode_reproduces_trace_fixture():
             mode=scenario.arq,
         )
     )
-    simulator = NetworkSimulator(
-        topology=legacy,
-        routing=build_routing(scenario.routing),
-        link_model=scenario.build_link_model(),
-        arq=arq,
-        ttl=scenario.ttl,
-        seed=scenario.seed + 1,
+
+    def replay(topology, mobility_interval_s=None):
+        simulator = NetworkSimulator(
+            topology=topology,
+            routing=build_routing(scenario.routing),
+            link_model=scenario.build_link_model(),
+            arq=arq,
+            ttl=scenario.ttl,
+            mobility_interval_s=mobility_interval_s,
+            seed=scenario.seed + 1,
+        )
+        return metrics_signature(simulator.run(traffic=TraceTrafficGenerator(trace)))
+
+    assert replay(scenario.build_topology()) == captured
+    batched = scenario.build_topology()
+    scalar = scenario.build_topology()
+    calls = _patch_scalar_mobility(scalar)
+    assert replay(scalar, mobility_interval_s=5.0) == replay(
+        batched, mobility_interval_s=5.0
     )
-    result = simulator.run(traffic=TraceTrafficGenerator(trace))
-    assert metrics_signature(result) == captured
+    assert len(calls) > 1
+    assert not np.array_equal(
+        batched.positions_m(), scenario.build_topology().positions_m()
+    )
+    np.testing.assert_array_equal(scalar.positions_m(), batched.positions_m())
 
 
 # ------------------------------------------------------------------ routing

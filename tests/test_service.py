@@ -4,11 +4,11 @@ import json
 import os
 import warnings
 
+import numpy as np
 import pytest
 
 import repro.experiments.runner as runner_module
 from repro.experiments import (
-    ColumnarResultSet,
     ExperimentRunner,
     ResultSet,
     Scenario,
@@ -65,7 +65,7 @@ def test_stream_matches_blocking_runner(tmp_path):
     service = SweepService(tmp_path / "svc", max_workers=1)
     job, records = _complete(service, scenarios)
     reference = ExperimentRunner(max_workers=1).run(scenarios)
-    assert ResultSet(records) == reference
+    assert list(reference) == records
     assert [r.scenario for r in records] == scenarios
     final = service.poll(job.job_id)
     assert final.done and final.completed == final.total == 3
@@ -120,8 +120,8 @@ def test_fetch_exports_both_artifact_forms(tmp_path):
     job, records = _complete(service, scenarios)
     npz_out = service.fetch(job.job_id, tmp_path / "out.npz")
     json_out = service.fetch(job.job_id, tmp_path / "out.json")
-    assert ColumnarResultSet.load_npz(npz_out) == ResultSet(records)
-    assert ResultSet.load(json_out) == ResultSet(records)
+    assert list(ResultSet.load_npz(npz_out)) == records
+    assert list(ResultSet.load(json_out)) == records
 
 
 def test_fetch_requires_a_finished_job(tmp_path):
@@ -149,6 +149,33 @@ def test_corrupt_artifact_is_treated_as_a_miss(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error", CacheMissWarning)
         assert service.submit(scenarios).done
+
+
+@pytest.mark.parametrize("key, value", [
+    ("version", np.asarray([1, 1])),
+    ("num_records", np.asarray([1, 1])),
+    ("scenario_json", np.asarray("{}")),
+])
+def test_misshapen_artifact_array_is_treated_as_a_miss(tmp_path, key, value):
+    # A header scalar stored as a vector, or a column stored as a scalar,
+    # must read as a corrupt artifact (ValueError -> reason-coded miss),
+    # not escape as a TypeError.
+    scenarios = _scenarios(2)
+    service = SweepService(tmp_path, max_workers=1)
+    job, records = _complete(service, scenarios)
+    path = service.artifact_path(job.job_id)
+    with np.load(path, allow_pickle=False) as data:
+        arrays = {name: data[name] for name in data.files}
+    arrays[key] = value
+    with open(path, "wb") as handle:
+        np.savez_compressed(handle, **arrays)
+    with pytest.raises(ValueError, match="corrupt columnar artifact"):
+        ResultSet.load_npz(path)
+    with pytest.warns(CacheMissWarning) as caught:
+        resubmitted = service.submit(scenarios)
+    assert [w.message.reason for w in caught] == ["npz-corrupt"]
+    assert resubmitted.state == "submitted"
+    assert list(service.stream(job.job_id)) == records
 
 
 def test_failed_job_records_the_error_and_recovers(tmp_path, monkeypatch):
