@@ -19,6 +19,7 @@ swapped *and* a slightly perturbed geometry, rather than a mirror image.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,10 +28,33 @@ from repro.channel.multipath import ImageMethodGeometry, MultipathModel
 from repro.channel.noise import AmbientNoiseModel
 from repro.devices.case import SOFT_POUCH, WaterproofCase
 from repro.devices.models import GALAXY_S9, DeviceModel
+from repro.devices.response import FrequencyResponse
 from repro.dsp.fastconv import convolve_cascade, convolve_full, convolve_shared
 from repro.dsp.resample import apply_doppler, doppler_factor
 from repro.utils.rng import ensure_rng
 from repro.utils.units import db_to_amplitude_ratio
+
+
+@lru_cache(maxsize=64)
+def _device_chain(
+    tx_speaker: FrequencyResponse,
+    tx_case: FrequencyResponse,
+    rx_microphone: FrequencyResponse,
+    rx_case: FrequencyResponse,
+    sample_rate_hz: float,
+) -> tuple[FrequencyResponse, np.ndarray]:
+    """The cascaded device/case response and its 257-tap FIR.
+
+    A pure function of four frozen responses and the sample rate, so every
+    channel between the same devices and cases shares one ``firwin2``
+    design.  The FIR is read-only because it is shared.
+    """
+    combined = tx_speaker.combined_with(tx_case, label="tx chain").combined_with(
+        rx_microphone, label="tx+rx chain"
+    ).combined_with(rx_case, label="device chain")
+    fir = combined.as_fir(sample_rate_hz, num_taps=257)
+    fir.setflags(write=False)
+    return combined, fir
 
 
 @dataclass(frozen=True)
@@ -90,16 +114,43 @@ class UnderwaterAcousticChannel:
 
     # ------------------------------------------------------------------ setup
     def _rebuild_filters(self) -> None:
-        """Precompute the cascaded device/case FIR and the multipath taps."""
-        combined = self.tx_device.speaker_response.combined_with(
-            self.tx_case.response, label="tx chain"
-        ).combined_with(
-            self.rx_device.microphone_response, label="tx+rx chain"
-        ).combined_with(self.rx_case.response, label="device chain")
-        self._device_response = combined
-        self._device_fir = combined.as_fir(self.sample_rate_hz, num_taps=257)
+        """Look up the cascaded device/case FIR; the taps are built lazily."""
+        self._device_response, self._device_fir = _device_chain(
+            self.tx_device.speaker_response,
+            self.tx_case.response,
+            self.rx_device.microphone_response,
+            self.rx_case.response,
+            self.sample_rate_hz,
+        )
         self._device_fir_delay = (self._device_fir.size - 1) // 2
-        self._impulse_response = self.multipath.impulse_response(self.sample_rate_hz)
+
+    @property
+    def multipath(self) -> MultipathModel:
+        """The multipath model; assigning a new one drops the cached taps."""
+        return self._multipath
+
+    @multipath.setter
+    def multipath(self, model: MultipathModel) -> None:
+        self._multipath = model
+        self._impulse_response = None
+
+    @property
+    def _impulse_response(self) -> np.ndarray:
+        """Sampled multipath taps, built when a transmit first needs them.
+
+        :meth:`randomize` replaces the multipath model before every packet
+        of a session, so taps built eagerly by the constructor,
+        :meth:`reverse` or :meth:`randomize` would mostly be thrown away.
+        Building them is deterministic in the model's own seed and draws
+        nothing from the channel's RNG, so deferring it changes no output.
+        """
+        if self._taps is None:
+            self._taps = self.multipath.impulse_response(self.sample_rate_hz)
+        return self._taps
+
+    @_impulse_response.setter
+    def _impulse_response(self, taps: np.ndarray | None) -> None:
+        self._taps = taps
 
     @property
     def geometry(self) -> ImageMethodGeometry:
@@ -166,7 +217,6 @@ class UnderwaterAcousticChannel:
             geometry=new_geometry,
             seed=int(rng.integers(0, 2 ** 31 - 1)),
         )
-        self._impulse_response = self.multipath.impulse_response(self.sample_rate_hz)
 
     def _drifted_multipath(self, motion_state: MotionState, rng: np.random.Generator) -> MultipathModel:
         """Multipath model after the channel has drifted during a packet."""
@@ -276,8 +326,8 @@ class UnderwaterAcousticChannel:
         """Frequency-domain propagation with cached transfer functions.
 
         The static case (no drift, no Doppler) collapses the whole chain
-        into one rFFT, one multiply against the cached combined multipath x
-        device-FIR spectrum and one irFFT.  Under motion drift the two
+        into one rFFT, one multiply against the taps' spectrum times the
+        cached device-FIR spectrum, and one irFFT.  Under motion drift the two
         multipath spectra share a single forward FFT of the packet before
         the time-domain cross-fade; Doppler resampling, which is inherently
         a time-domain warp, falls back to the cached-kernel FIR convolution

@@ -24,6 +24,7 @@ Receive direction (:class:`DataDecoder`):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,6 +38,35 @@ from repro.fec.convolutional import PuncturedConvolutionalCode
 from repro.fec.interleaver import SubcarrierInterleaver
 
 _EPS = 1e-30
+
+#: Bound on the per-band caches below.  Bands are contiguous bin ranges, so
+#: one configuration has up to ~1.8k of them (60 data bins); a session only
+#: meets a handful, and a shared modem lives as long as its process.
+BAND_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=BAND_CACHE_SIZE)
+def _training_values(num_bins: int) -> np.ndarray:
+    """CAZAC training values for a band of ``num_bins`` (read-only)."""
+    values = zadoff_chu(num_bins, root=3)
+    values.setflags(write=False)
+    return values
+
+
+@lru_cache(maxsize=BAND_CACHE_SIZE)
+def _training_symbol(config: OFDMConfig, start_bin: int, end_bin: int) -> np.ndarray:
+    """Training symbol waveform for the band ``[start_bin, end_bin]`` (read-only).
+
+    Deterministic in the configuration and the band, and band selections
+    repeat heavily across a session's packets, so every encoder and decoder
+    with the same configuration shares one modulation per band.
+    """
+    bins = np.arange(start_bin, end_bin + 1)
+    symbol = OFDMModulator(config).modulate(
+        _training_values(bins.size), bins, add_cyclic_prefix=True
+    )
+    symbol.setflags(write=False)
+    return symbol
 
 
 @dataclass(frozen=True)
@@ -108,34 +138,15 @@ class DataEncoder:
         self._code = PuncturedConvolutionalCode(
             constraint_length=self.protocol_config.constraint_length
         )
-        # Per-band caches: the training waveform and its CAZAC values are
-        # deterministic for a band, and band selections repeat heavily
-        # across the packets of a session.  Entries are read-only arrays.
-        self._training_values_cache: dict[int, np.ndarray] = {}
-        self._training_symbol_cache: dict[tuple[int, int], np.ndarray] = {}
 
     # ------------------------------------------------------------------ helpers
     def training_bin_values(self, band: BandSelection) -> np.ndarray:
-        """CAZAC values used for the training symbol inside the band."""
-        cached = self._training_values_cache.get(band.num_bins)
-        if cached is None:
-            cached = zadoff_chu(band.num_bins, root=3)
-            cached.setflags(write=False)
-            self._training_values_cache[band.num_bins] = cached
-        return cached
+        """CAZAC values used for the training symbol inside the band (read-only)."""
+        return _training_values(band.num_bins)
 
     def training_symbol(self, band: BandSelection) -> np.ndarray:
-        """Return the known training symbol waveform for a band."""
-        key = (band.start_bin, band.end_bin)
-        cached = self._training_symbol_cache.get(key)
-        if cached is None:
-            bins = band.absolute_bins()
-            cached = self._modulator.modulate(
-                self.training_bin_values(band), bins, add_cyclic_prefix=True
-            )
-            cached.setflags(write=False)
-            self._training_symbol_cache[key] = cached
-        return cached
+        """Return the known training symbol waveform for a band (read-only)."""
+        return _training_symbol(self.ofdm_config, band.start_bin, band.end_bin)
 
     def num_data_symbols(self, num_payload_bits: int, band: BandSelection) -> int:
         """Number of OFDM data symbols needed for a payload in a band."""

@@ -13,12 +13,33 @@ strongest subcarriers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from repro.channel.physics import SOUND_SPEED_M_S
+from repro.core.coding import BAND_CACHE_SIZE
 from repro.core.config import OFDMConfig, ProtocolConfig
 from repro.core.ofdm import OFDMModulator
+
+
+@lru_cache(maxsize=BAND_CACHE_SIZE)
+def _feedback_symbol(config: OFDMConfig, start_bin: int, end_bin: int) -> np.ndarray:
+    """The two-tone symbol for a band (read-only).
+
+    Band selections repeat across a session's packets and the symbol is
+    deterministic in the configuration and the band, so it is modulated
+    once per band and shared by every codec with the same configuration.
+    """
+    if start_bin == end_bin:
+        bins = np.array([start_bin])
+        values = np.array([1.0 + 0.0j])
+    else:
+        bins = np.array([start_bin, end_bin])
+        values = np.array([1.0 + 0.0j, 1.0 + 0.0j])
+    symbol = OFDMModulator(config).modulate(values, bins, add_cyclic_prefix=True)
+    symbol.setflags(write=False)
+    return symbol
 
 
 @dataclass(frozen=True)
@@ -55,10 +76,6 @@ class FeedbackCodec:
     ) -> None:
         self.ofdm_config = ofdm_config or OFDMConfig()
         self.protocol_config = protocol_config or ProtocolConfig()
-        self._modulator = OFDMModulator(self.ofdm_config)
-        # Band selections repeat across a session's packets; the two-tone
-        # symbol for a band is deterministic, so modulate it once.
-        self._symbol_cache: dict[tuple[int, int], np.ndarray] = {}
 
     # ----------------------------------------------------------------- encode
     def encode(self, start_bin: int, end_bin: int) -> np.ndarray:
@@ -75,19 +92,7 @@ class FeedbackCodec:
             raise ValueError(
                 f"feedback bins [{start_bin}, {end_bin}] outside the data band"
             )
-        cached = self._symbol_cache.get((start_bin, end_bin))
-        if cached is not None:
-            return cached
-        if start_bin == end_bin:
-            bins = np.array([start_bin])
-            values = np.array([1.0 + 0.0j])
-        else:
-            bins = np.array([start_bin, end_bin])
-            values = np.array([1.0 + 0.0j, 1.0 + 0.0j])
-        symbol = self._modulator.modulate(values, bins, add_cyclic_prefix=True)
-        symbol.setflags(write=False)
-        self._symbol_cache[(start_bin, end_bin)] = symbol
-        return symbol
+        return _feedback_symbol(config, int(start_bin), int(end_bin))
 
     # ----------------------------------------------------------------- decode
     def decode(

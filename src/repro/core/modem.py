@@ -16,12 +16,15 @@ Transmitter (Alice)                      Receiver (Bob)
 
 The modem is stateless between calls; every method takes and returns plain
 arrays and small dataclasses, which keeps it easy to test and to run many
-independent simulated exchanges in parallel.
+independent simulated exchanges in parallel.  Because of that, one modem
+per configuration can serve every session in a process:
+:func:`shared_modem` hands out that instance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -56,7 +59,15 @@ class PreambleHeader:
 
 
 class AquaModem:
-    """Software acoustic modem for underwater messaging on mobile devices."""
+    """Software acoustic modem for underwater messaging on mobile devices.
+
+    Constructing one directly gives a private instance.  Sessions built from
+    a :class:`~repro.experiments.ModemSpec`, and a ``LinkSession`` without
+    an explicit modem, share the one :func:`shared_modem` instance per
+    configuration: such a modem must not be mutated (no attribute
+    assignment, no swapped components), or every other session in the
+    process sees the change.
+    """
 
     def __init__(
         self,
@@ -193,3 +204,34 @@ class AquaModem:
     def data_burst_length(self, num_payload_bits: int, band: BandSelection) -> int:
         """Number of samples the data burst (training + data symbols) occupies."""
         return self.decoder.expected_length(num_payload_bits, band)
+
+
+#: Memo behind :func:`shared_modem`, keyed by the normalized build inputs
+#: (all frozen or plain values).
+_shared_modems = lru_cache(maxsize=16)(AquaModem)
+
+
+def shared_modem(
+    ofdm_config: OFDMConfig | None = None,
+    protocol_config: ProtocolConfig | None = None,
+    use_differential: bool = True,
+    use_interleaving: bool = True,
+    use_equalizer: bool = True,
+    equalizer_num_taps: int | None = None,
+) -> AquaModem:
+    """The process-wide :class:`AquaModem` for one configuration.
+
+    Takes the constructor's arguments and returns the same instance for
+    equal ones, so building a session pays for the preamble, correlator
+    and coding tables once per configuration instead of once per session,
+    and the template spectra stay warm across sessions.  The returned
+    modem is shared: treat it as read-only.
+    """
+    return _shared_modems(
+        ofdm_config or OFDMConfig(),
+        protocol_config or ProtocolConfig(),
+        bool(use_differential),
+        bool(use_interleaving),
+        bool(use_equalizer),
+        None if equalizer_num_taps is None else int(equalizer_num_taps),
+    )

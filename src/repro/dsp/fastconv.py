@@ -11,9 +11,9 @@ one complex multiply and one irFFT.
 BLAKE2 digest of the raw bytes plus the length) and FFT size, so two
 arrays with equal values share one cached spectrum and a kernel that is
 regenerated (e.g. after :meth:`UnderwaterAcousticChannel.randomize`)
-naturally misses.  Cascades of two kernels cache the *product* spectrum,
-which is what turns the channel's "multipath then device FIR" double
-convolution into a single frequency-domain multiply.
+naturally misses.  :func:`convolve_cascade` multiplies a cached kernel
+spectrum by a fresh one, which turns the channel's "multipath then device
+FIR" double convolution into a single frequency-domain multiply.
 
 All helpers return results numerically equivalent to
 ``scipy.signal.fftconvolve`` (same algorithm, same FFT sizes modulo
@@ -95,13 +95,13 @@ def conv_fft_len(out_len: int) -> int:
 
 
 class SpectrumCache:
-    """LRU cache of kernel rFFT spectra and cascade product spectra.
+    """LRU cache of kernel rFFT spectra.
 
     Parameters
     ----------
     max_entries:
-        Bound on the number of cached spectra (single kernels and cascade
-        products count separately).  Old entries are evicted LRU-first.
+        Bound on the number of cached spectra.  Old entries are evicted
+        LRU-first.
     """
 
     def __init__(self, max_entries: int = 128) -> None:
@@ -146,17 +146,6 @@ class SpectrumCache:
             return cached
         return self._put(key, rfft_n(kernel, n_fft))
 
-    def cascade_spectrum(
-        self, first: np.ndarray, second: np.ndarray, n_fft: int
-    ) -> np.ndarray:
-        """Return (and cache) the product spectrum of two cascaded kernels."""
-        key = ("c", _kernel_key(first), _kernel_key(second), int(n_fft))
-        cached = self._get(key)
-        if cached is not None:
-            return cached
-        product = rfft_n(first, n_fft) * rfft_n(second, n_fft)
-        return self._put(key, product)
-
 
 #: Shared process-wide cache used by the channel fast path.  Sessions,
 #: benchmark suites and :class:`repro.net.links.PhysicalLink` instances all
@@ -187,13 +176,17 @@ def convolve_cascade(
     """Convolve ``x`` with two cascaded kernels in one FFT round trip.
 
     Equivalent to ``fftconvolve(fftconvolve(x, first), second)`` but pays a
-    single forward rFFT of ``x``, one complex multiply against the cached
-    combined transfer function and one irFFT.
+    single forward rFFT of ``x``, one complex multiply against the combined
+    transfer function and one irFFT.  ``second`` is the long-lived kernel
+    (the channel's device FIR), whose spectrum comes from ``cache``.
+    ``first`` is the short-lived one (multipath taps redrawn every packet):
+    its spectrum stays out of the shared LRU, where it would never hit
+    again and would only evict spectra that do recur.
     """
     x = np.asarray(x, dtype=float)
     out_len = x.size + first.size + second.size - 2
     n_fft = conv_fft_len(out_len)
-    spectrum = cache.cascade_spectrum(first, second, n_fft)
+    spectrum = rfft_n(first, n_fft) * cache.spectrum(second, n_fft)
     return irfft_n(rfft_n(x, n_fft) * spectrum, n_fft)[:out_len]
 
 
@@ -212,7 +205,7 @@ def convolve_shared(
     # Exact fast length and no spectrum caching: the drift-path kernels are
     # fresh every packet, so cached entries would never hit again -- they
     # would only pay a content hash and evict the genuinely reusable
-    # device-FIR/cascade spectra from the shared LRU.
+    # device-FIR and band-pass spectra from the shared LRU.
     n_fft = next_fast_len(x.size + longest - 1)
     forward = rfft_n(x, n_fft)
     results = []

@@ -99,6 +99,8 @@ class FIRBandpassFilter:
         self.high_hz = float(high_hz)
         self.sample_rate_hz = float(sample_rate_hz)
         self.taps = design_bandpass_fir(low_hz, high_hz, sample_rate_hz, num_taps)
+        # Read-only: a shared modem hands its filter to every session.
+        self.taps.setflags(write=False)
 
     @property
     def num_taps(self) -> int:

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from repro.channel.motion import MOTION_PRESETS, STATIC_MOTION, MotionModel
 from repro.core.baselines import FIXED_BAND_SCHEMES, FixedBandScheme
 from repro.core.config import OFDMConfig, ProtocolConfig
-from repro.core.modem import AquaModem
+from repro.core.modem import AquaModem, shared_modem
 from repro.devices.case import CASE_CATALOG, SOFT_POUCH, WaterproofCase
 from repro.devices.models import DEVICE_CATALOG, GALAXY_S9, DeviceModel
 from repro.devices.response import FrequencyResponse, ResponseNotch
@@ -125,8 +125,8 @@ class ModemSpec:
     """Declarative modem build options for a scenario.
 
     Only the options the evaluation actually varies are exposed; everything
-    else keeps the paper's defaults.  :meth:`build` constructs the
-    corresponding :class:`~repro.core.modem.AquaModem`.
+    else keeps the paper's defaults.  :meth:`build` returns the
+    corresponding shared :class:`~repro.core.modem.AquaModem`.
 
     Attributes
     ----------
@@ -146,12 +146,17 @@ class ModemSpec:
     subcarrier_spacing_hz: float | None = None
 
     def build(self) -> AquaModem:
-        """Construct the modem this spec describes."""
+        """The modem this spec describes, shared by equal specs.
+
+        Returns the process-wide :func:`~repro.core.modem.shared_modem`
+        instance, so it must not be mutated; construct an
+        :class:`AquaModem` directly for a private one.
+        """
         ofdm = OFDMConfig()
         if self.subcarrier_spacing_hz is not None:
             ofdm = ofdm.with_subcarrier_spacing(self.subcarrier_spacing_hz)
         protocol = ProtocolConfig(payload_bits=self.payload_bits)
-        return AquaModem(
+        return shared_modem(
             ofdm_config=ofdm,
             protocol_config=protocol,
             use_differential=self.use_differential,

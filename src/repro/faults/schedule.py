@@ -42,6 +42,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from repro.utils.atomic import atomic_write
 from repro.utils.validation import require_positive
 
 #: Format marker written into every serialized schedule.
@@ -355,9 +356,8 @@ class FaultSchedule:
         return replace(self, repair=bool(repair))
 
     def save(self, path) -> str:
-        """Write canonical JSON to ``path``; returns the path."""
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.to_json() + "\n")
+        """Atomically write canonical JSON to ``path``; returns the path."""
+        atomic_write(path, self.to_json() + "\n")
         return str(path)
 
     @classmethod

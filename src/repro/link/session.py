@@ -26,7 +26,7 @@ import numpy as np
 from repro.channel.channel import UnderwaterAcousticChannel
 from repro.core.adaptation import BandSelection
 from repro.core.baselines import FixedBandScheme
-from repro.core.modem import AquaModem
+from repro.core.modem import AquaModem, shared_modem
 from repro.link.stats import empirical_cdf
 from repro.utils.rng import ensure_rng
 
@@ -235,7 +235,11 @@ class LinkStatistics:
 
 
 class LinkSession:
-    """Runs packet exchanges between two devices over simulated channels."""
+    """Runs packet exchanges between two devices over simulated channels.
+
+    Without an explicit ``modem`` the session uses the default-configured
+    :func:`~repro.core.modem.shared_modem`, which it only reads.
+    """
 
     def __init__(
         self,
@@ -250,7 +254,7 @@ class LinkSession:
     ) -> None:
         self.forward_channel = forward_channel
         self.backward_channel = backward_channel or forward_channel.reverse()
-        self.modem = modem or AquaModem()
+        self.modem = modem or shared_modem()
         self.scheme = scheme
         self.receiver_id = int(receiver_id)
         self.silence_symbols = int(silence_symbols)

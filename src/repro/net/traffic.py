@@ -72,10 +72,16 @@ def _pick_destination(
 ) -> str:
     if destination is not None:
         return destination
-    candidates = [name for name in topology.names if name != source]
-    if not candidates:
+    # One draw over the peers in insertion order, then step over the
+    # source: the same draw and pick as indexing the list of names without
+    # the source, minus building that list for every message.
+    names = topology.names
+    skip = topology.index_of(source) if source in topology else len(names)
+    num_peers = len(names) - (skip < len(names))
+    if num_peers < 1:
         raise ValueError("need at least two nodes for random destinations")
-    return candidates[int(rng.integers(0, len(candidates)))]
+    index = int(rng.integers(0, num_peers))
+    return names[index + (index >= skip)]
 
 
 class _PerSourceTraffic(TrafficGenerator):

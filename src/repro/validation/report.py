@@ -23,6 +23,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.utils.atomic import atomic_write
 from repro.validation.figures import FigureSpec, get_figure
 from repro.validation.montecarlo import FigureResult, PointEstimate
 from repro.validation.stats import MetricSummary, intervals_overlap, nan_to_none
@@ -39,10 +40,9 @@ def valid_json_path(figure: str, directory: str | Path = ".") -> Path:
 def write_envelope(
     result: FigureResult, directory: str | Path = "."
 ) -> Path:
-    """Write a figure's Monte-Carlo result as its committed envelope."""
+    """Atomically write a figure's Monte-Carlo result as its committed envelope."""
     spec = get_figure(result.figure)
     path = valid_json_path(result.figure, directory)
-    path.parent.mkdir(parents=True, exist_ok=True)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "figure": result.figure,
@@ -51,8 +51,7 @@ def write_envelope(
         "created_unix": time.time(),
         "result": result.to_dict(),
     }
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    return path
+    return atomic_write(path, json.dumps(payload, indent=2) + "\n")
 
 
 def load_envelope(path: str | Path) -> FigureResult:
@@ -229,8 +228,5 @@ class ValidationReport:
         }
 
     def save(self, path: str | Path) -> Path:
-        """Write the report as JSON and return the path."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.to_dict(), indent=2) + "\n", encoding="utf-8")
-        return path
+        """Atomically write the report as JSON and return the path."""
+        return atomic_write(path, json.dumps(self.to_dict(), indent=2) + "\n")

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -63,6 +64,29 @@ def test_schedule_round_trips_through_canonical_json(tmp_path):
     path = tmp_path / "sched.json"
     schedule.save(path)
     assert load_schedule(path) == schedule
+
+
+def test_interrupted_schedule_save_keeps_the_previous_file(tmp_path, monkeypatch):
+    # A save that dies midway must leave the previous schedule intact and
+    # no temp file behind (the shared temp-file-then-rename writer).
+    path = tmp_path / "sched.json"
+    FaultSchedule(events=(FaultEvent("crash", 30.0, node="n3"),)).save(path)
+    before = path.read_bytes()
+    changed = FaultSchedule(events=(FaultEvent("crash", 45.0, node="n1"),), seed=2)
+    real_write_bytes = pathlib.Path.write_bytes
+
+    def torn_write(self, data):
+        real_write_bytes(self, data[: len(data) // 2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(pathlib.Path, "write_bytes", torn_write)
+    with pytest.raises(OSError, match="disk full"):
+        changed.save(path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+    changed.save(path)
+    assert load_schedule(path) == changed
 
 
 def test_schedule_rejects_foreign_and_wrong_version_documents():

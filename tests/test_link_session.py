@@ -5,13 +5,16 @@ import pytest
 
 from repro.core.baselines import FIXED_BAND_SCHEMES, FIXED_FULL_BAND, FIXED_NARROW_BAND
 from repro.core.feedback import FeedbackDecodeResult
+from repro.core.modem import AquaModem
 from repro.core.preamble import PreambleDetection
 from repro.link.session import LinkSession, LinkStatistics, PacketResult
 
 
 @pytest.fixture
 def quiet_session(quiet_channel):
-    return LinkSession(quiet_channel, seed=5)
+    # A private modem: tests below patch methods on it, and the default
+    # modem is shared by every session in the process.
+    return LinkSession(quiet_channel, modem=AquaModem(), seed=5)
 
 
 def test_adaptive_packet_delivery_on_quiet_channel(quiet_session):

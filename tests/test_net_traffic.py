@@ -83,6 +83,19 @@ def test_pick_destination_never_picks_the_source():
     assert picks == {"n0", "n1", "n3", "n4"}
 
 
+def test_pick_destination_matches_drawing_from_the_peer_list():
+    # Same single draw as indexing the names without the source, so the RNG
+    # stream (and every golden net signature) is unchanged.
+    topology = _line(7)
+    for seed in range(5):
+        fast, listed = np.random.default_rng(seed), np.random.default_rng(seed)
+        for source in topology.names * 20:
+            peers = [name for name in topology.names if name != source]
+            expected = peers[int(listed.integers(0, len(peers)))]
+            assert _pick_destination(source, None, topology, fast) == expected
+        assert fast.random() == listed.random()
+
+
 def test_pick_destination_requires_a_peer():
     topology = AcousticNetTopology.line(1, spacing_m=8.0, comm_range_m=10.0)
     with pytest.raises(ValueError, match="at least two nodes"):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import pathlib
 
 import pytest
 
@@ -320,6 +321,40 @@ def test_validation_report_markdown_and_save(tiny_link_result, tmp_path):
     payload = json.loads(path.read_text())
     assert payload["passed"] is True
     assert payload["figures"][0]["checks"]
+
+
+@pytest.mark.parametrize("writer", ["envelope", "report"])
+def test_interrupted_write_keeps_the_previous_file(tiny_link_result, tmp_path,
+                                                   monkeypatch, writer):
+    # A write that dies midway must leave the previous envelope or report
+    # intact and no temp file behind (the shared temp-file-then-rename
+    # writer).
+    spec, result = tiny_link_result
+    out = tmp_path / "out"
+    if writer == "envelope":
+        def write():
+            return write_envelope(result, out)
+    else:
+        report = ValidationReport()
+        report.add(FigureReport(result=result, checks=[], compared=False))
+
+        def write():
+            return report.save(out / "report.json")
+    path = write()
+    before = path.read_bytes()
+    real_write_bytes = pathlib.Path.write_bytes
+
+    def torn_write(self, data):
+        real_write_bytes(self, data[: len(data) // 2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(pathlib.Path, "write_bytes", torn_write)
+    with pytest.raises(OSError, match="disk full"):
+        write()
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in out.iterdir()] == [path.name]
+    assert write() == path
 
 
 # ------------------------------------------------------------------------- ab
